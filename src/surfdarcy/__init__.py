@@ -28,7 +28,7 @@ from .mesh import (
     extract_active,
     refine_uniform,
 )
-from .solver import Solution, estimate_condition, solve
+from .solver import Factorization, Solution, estimate_condition, factorize, solve
 from .verification import (
     CASE_TABLE,
     CaseConfig,

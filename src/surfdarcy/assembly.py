@@ -91,7 +91,9 @@ class AssembledSystem:
     params: AssemblyParams
     h: float
     k_g: int
-    dof_coords: np.ndarray | None = None  # (total - 1, 3), for solver orderings
+    # (total - 1, 3); only the memory-bounded dissection elimination of the
+    # solver, used above solver.NESTED_THRESHOLD unknowns, reads them
+    dof_coords: np.ndarray | None = None
 
 
 def _cell_tab(space: FESpace, ds: DiscreteSurface):

@@ -138,6 +138,19 @@ def _validate(args):
         raise ValueError("alpha must lie in [0, 2]")
     if getattr(args, "levels", 1) > 4:
         raise ValueError("levels > 4 not supported in the study configuration")
+    if args.command == "converge" and args.levels < 1:
+        raise ValueError("converge needs levels >= 1 (two levels give one EOC)")
+    if args.command == "check" and args.levels < 2:
+        raise ValueError("check needs levels >= 2 (rates are fitted over levels 1..levels)")
+    if args.command == "export" and args.level < 0:
+        raise ValueError("level must be >= 0")
+    # the torus reaches R + r from its center in x and y, and r in z
+    exact = ManufacturedSolution()
+    reach = np.array([exact.R + exact.r, exact.R + exact.r, exact.r])
+    lo, hi = np.array(args.box, dtype=float).T
+    offset = np.asarray(args.offset, dtype=float)
+    if np.any(offset - reach <= lo) or np.any(offset + reach >= hi):
+        raise ValueError(f"offset {tuple(args.offset)} moves the torus outside the box")
 
 
 def _config_from_args(args):
@@ -168,18 +181,23 @@ def _cmd_converge(args):
         Path(args.markdown).write_text(report_to_markdown(report))
         print(f"wrote {args.markdown}")
     if args.vtk_dir:
-        _export_level(args, args.levels, Path(args.vtk_dir))
+        _write_level(args.case, args.levels, report.finest, Path(args.vtk_dir))
     return 0
 
 
-def _export_level(args, level, outdir: Path):
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_export(args):
     config = case_config(args.case, **_config_from_args(args))
-    exact = ManufacturedSolution(offset=config.offset)
     mesh = build_background(config.box, config.n_cells0)
-    for _ in range(level):
+    for _ in range(args.level):
         mesh = refine_uniform(mesh)
-    out = run_level(config, mesh, exact)
+    out = run_level(config, mesh, ManufacturedSolution(offset=config.offset))
+    _write_level(args.case, args.level, out, Path(args.vtk_dir))
+    return 0
+
+
+def _write_level(case, level, out, outdir: Path):
+    """Write the surface fields and the active mesh of one solved level."""
+    outdir.mkdir(parents=True, exist_ok=True)
     vspace, pspace = out["spaces"]
     ds = out["ds"]
     solution = out["solution"]
@@ -192,7 +210,7 @@ def _export_level(args, level, outdir: Path):
         [fe_space.evaluate(vspace, solution.u_coeffs[c], cells, flat) for c in range(3)],
         axis=1,
     )
-    surface_path = outdir / f"surface_case{args.case}_level{level}.vtk"
+    surface_path = outdir / f"surface_case{case}_level{level}.vtk"
     vtk_io.export_surface(
         surface_path,
         ds,
@@ -203,11 +221,10 @@ def _export_level(args, level, outdir: Path):
             "normal": normals.reshape(-1, 3),
         },
     )
-    mesh_path = outdir / f"active_mesh_case{args.case}_level{level}.vtk"
+    mesh_path = outdir / f"active_mesh_case{case}_level{level}.vtk"
     vtk_io.export_active_mesh(mesh_path, out["active"])
     print(f"wrote {surface_path}")
     print(f"wrote {mesh_path}")
-    return 0
 
 
 def _cmd_check(args):
@@ -260,7 +277,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "export":
-            return _export_level(args, args.level, Path(args.vtk_dir))
+            return _cmd_export(args)
     except (SingularSystemError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

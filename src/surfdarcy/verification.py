@@ -189,6 +189,8 @@ class ConvergenceReport:
     eoc_u_l2: list = field(default_factory=list)
     eoc_p_h1: list = field(default_factory=list)
     eoc_p_l2: list = field(default_factory=list)
+    # run_level output of the finest level, kept for exporting it
+    finest: dict | None = field(default=None, repr=False, compare=False)
 
 
 def _velocity_values(vspace, coeffs3, cells, points):
@@ -346,6 +348,7 @@ def run_case(config: CaseConfig, levels: int, case: int | None = None) -> Conver
         eoc_u_l2=compute_eoc([r.errors.u_l2 for r in results]),
         eoc_p_h1=compute_eoc([r.errors.p_h1 for r in results]),
         eoc_p_l2=compute_eoc([r.errors.p_l2 for r in results]),
+        finest=out,
     )
 
 

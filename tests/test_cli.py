@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+import surfdarcy.solver as solver_mod
 from surfdarcy.cli import main
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    splu = solver_mod.spla.splu
+    monkeypatch.setattr(
+        solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
+    )
+    return calls
 
 
 def test_converge_tiny_run(tmp_path, capsys):
@@ -85,3 +96,41 @@ def test_check_command_deterministic_output(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "[PASS]" in out1
+
+
+def test_converge_exports_finest_level_without_solving_again(tmp_path, splu_calls):
+    conv, exp = tmp_path / "converge", tmp_path / "export"
+    assert main(["converge", "--case", "1", "--levels", "1", "--vtk-dir", str(conv)]) == 0
+    assert len(splu_calls) == 2, "one factorization per level"
+    assert main(["export", "--case", "1", "--level", "1", "--vtk-dir", str(exp)]) == 0
+    names = sorted(p.name for p in conv.iterdir())
+    assert names == ["active_mesh_case1_level1.vtk", "surface_case1_level1.vtk"]
+    assert names == sorted(p.name for p in exp.iterdir())
+    for name in names:
+        assert (conv / name).read_bytes() == (exp / name).read_bytes()
+
+
+def test_check_needs_two_levels(capsys, splu_calls):
+    assert main(["check", "--levels", "1"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not splu_calls
+
+
+def test_converge_needs_one_level(capsys):
+    assert main(["converge", "--case", "1", "--levels", "0"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_export_level_not_negative(tmp_path, capsys):
+    out = tmp_path / "vtk"
+    assert main(["export", "--case", "1", "--level", "-1", "--vtk-dir", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--offset=0.2,0,0"], ["--offset=0,-0.16,0"], ["--box=-1,1"]]
+)
+def test_offset_outside_box_is_config_error(extra, capsys):
+    assert main(["converge", "--case", "1", "--levels", "1", *extra]) == 1
+    assert "outside the box" in capsys.readouterr().err

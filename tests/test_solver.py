@@ -15,7 +15,7 @@ from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
-from surfdarcy.solver import estimate_condition, solve
+from surfdarcy.solver import estimate_condition, factorize, solve
 from surfdarcy.verification import ManufacturedSolution
 
 
@@ -109,12 +109,19 @@ class TestSolve:
         npt.assert_allclose(nested.p_coeffs, direct.p_coeffs, atol=1e-10)
         npt.assert_allclose(nested.u_coeffs, direct.u_coeffs, atol=1e-10)
 
-    def test_nd_ordered_path_matches_plain(self, level1_system, monkeypatch):
+    def test_one_factorization_serves_solve_and_estimate(self, level1_system, monkeypatch):
         system, _, _ = level1_system
-        plain = solve(system)
-        monkeypatch.setattr(solver_mod, "ND_THRESHOLD", 100)
-        ordered = solve(system)
-        npt.assert_allclose(ordered.p_coeffs, plain.p_coeffs, atol=1e-10)
+        separate = (solve(system), estimate_condition(system, seed=3))
+        calls = []
+        splu = solver_mod.spla.splu
+        monkeypatch.setattr(
+            solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
+        )
+        lu = factorize(system)
+        shared = (solve(lu), estimate_condition(lu, seed=3))
+        assert len(calls) == 1
+        npt.assert_array_equal(shared[0].p_coeffs, separate[0].p_coeffs)
+        assert shared[1] == separate[1]
 
 
 class TestEstimateCondition:

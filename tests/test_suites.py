@@ -3,6 +3,7 @@ full sizes stated in the study configuration."""
 
 import pytest
 
+import surfdarcy.solver as solver_mod
 from surfdarcy.suites import (
     geometric_rate_suite,
     lemma_ratio_suite,
@@ -35,3 +36,14 @@ def test_lemma_ratio_suite_small():
 def test_positioning_suite_small():
     result = positioning_suite(level=1, n_translations=3, seed=0)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_positioning_suite_factorizes_each_system_once(monkeypatch):
+    calls = []
+    splu = solver_mod.spla.splu
+    monkeypatch.setattr(
+        solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
+    )
+    result = positioning_suite(level=0, n_translations=1, seed=0)
+    assert len(calls) == 2, "one system per stabilization, one factorization each"
+    assert len(result.lines) == 4
