@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fe_space, shapes
-from .cut_surface import DiscreteSurface
+from .cut_surface import DiscreteSurface, TetInterpolant
 from .fe_space import FESpace
 from .geometry import ImplicitSurface
 from .mesh import ActiveMesh
@@ -193,6 +193,8 @@ def assemble_stabilization(
         raise AssemblyError("stabilization parameter tau must be positive")
     if not 0.0 <= alpha <= 2.0:
         raise AssemblyError("stabilization exponent alpha must lie in [0, 2]")
+    if k_g not in (1, 2):
+        raise AssemblyError("geometry order k_g must be 1 or 2")
 
     degree = max(2 * (space.order - 1), 1)
     bary, w = tet_rule(degree, positive=True)
@@ -207,7 +209,7 @@ def assemble_stabilization(
     if kind == Stabilization.FULL_GRADIENT:
         data = np.einsum("m,t,tmbx,tmcx->tbc", w, vols, grads, grads)
     elif kind == Stabilization.NORMAL_GRADIENT:
-        normals = _bulk_normals(active, surface, k_g, bary, lam_grads)
+        normals = _bulk_normals(active, surface, k_g, bary)
         ndot = np.einsum("tmx,tmbx->tmb", normals, grads)
         data = np.einsum("m,t,tmb,tmc->tbc", w, vols, ndot, ndot)
     else:
@@ -218,36 +220,11 @@ def assemble_stabilization(
     return _scatter(data, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def _bulk_normals(active, surface, k_g, bary, lam_grads):
+def _bulk_normals(active, surface, k_g, bary):
     """Normal field of the per-tet degree-k_g level-set interpolant at the
     bulk quadrature points: (t, m, 3) unit vectors."""
-    tet_verts = active.tet_vertices
-    if k_g == 1:
-        vals = surface.signed_distance(tet_verts.reshape(-1, 3)).reshape(-1, 4)
-        grad = np.einsum("ta,tax->tx", vals, lam_grads)
-        grad = np.broadcast_to(grad[:, None, :], (len(vals), len(bary), 3)).copy()
-    elif k_g == 2:
-        mids = shapes.tet_edge_midpoints(tet_verts)
-        vals = np.concatenate(
-            [
-                surface.signed_distance(tet_verts.reshape(-1, 3)).reshape(-1, 4),
-                surface.signed_distance(mids.reshape(-1, 3)).reshape(-1, 6),
-            ],
-            axis=1,
-        )
-        dvals = shapes.tet_p2_dvalues(bary)  # (m, 10, 4)
-        dphi_dlam = np.einsum("mka,tk->tma", dvals, vals)
-        grad = np.einsum("tma,tax->tmx", dphi_dlam, lam_grads)
-    else:
-        raise AssemblyError("geometry order k_g must be 1 or 2")
-    norms = np.linalg.norm(grad, axis=2)
-    degenerate = norms <= 1e-10
-    if np.any(degenerate):
-        pts = np.einsum("ma,tax->tmx", bary, tet_verts)
-        exact = surface.surface_normal(pts[degenerate])
-        grad[degenerate] = np.atleast_2d(exact)
-        norms = np.linalg.norm(grad, axis=2)
-    return grad / norms[:, :, None]
+    phi = TetInterpolant.of_field(active.tet_vertices[:, None], k_g, surface.signed_distance)
+    return phi.normal_at(bary, surface.surface_normal)
 
 
 def assemble(

@@ -102,10 +102,11 @@ def _build_parser():
 
 def _apply_config_file(parser, argv):
     """Pre-parse --config and install file values as defaults (flags win)."""
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return
-    idx = argv.index("--config")
-    path = argv[idx + 1]
     values = _load_config_file(path)
     converters = {
         "box": _parse_box,
@@ -142,8 +143,12 @@ def _validate(args):
         raise ValueError("converge needs levels >= 1 (two levels give one EOC)")
     if args.command == "check" and args.levels < 2:
         raise ValueError("check needs levels >= 2 (rates are fitted over levels 1..levels)")
-    if args.command == "export" and args.level < 0:
-        raise ValueError("level must be >= 0")
+    if args.command == "export" and not 0 <= args.level <= 4:
+        raise ValueError("export needs 0 <= level <= 4")
+    if args.command == "check" and args.translations < 1:
+        raise ValueError("check needs translations >= 1")
+    if args.ncells0 < 1:
+        raise ValueError("ncells0 must be >= 1")
     # the torus reaches R + r from its center in x and y, and r in z
     exact = ManufacturedSolution()
     reach = np.array([exact.R + exact.r, exact.R + exact.r, exact.r])

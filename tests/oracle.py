@@ -162,7 +162,7 @@ def oracle_assemble(vspace, pspace, ds, active, surface, data, kind, tau, alpha)
             for space, offsets in ((vspace, (0, n_u, 2 * n_u)), (pspace, (3 * n_u,))):
                 _, grads = shape_tet(tet_verts, space.order, x)
                 if kind == "normal":
-                    grad_phi = interpolant_gradient(nodes, nodal, k_g, x)
+                    grad_phi = interpolant_gradient(tet_verts, nodal, k_g, x)
                     norm = np.linalg.norm(grad_phi)
                     normal = (
                         grad_phi / norm

@@ -18,9 +18,10 @@ from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space
 from surfdarcy.geometry import ImplicitSurface, Torus
 from surfdarcy.mesh import ActiveMesh, build_background, extract_active, refine_uniform
+from surfdarcy.quadrature import tet_rule
 from surfdarcy.verification import ManufacturedSolution
 
-from oracle import oracle_assemble
+from oracle import TET_EDGE_PAIRS, interpolant_gradient, oracle_assemble, shape_tet
 
 
 class PlaneSurface(ImplicitSurface):
@@ -339,3 +340,31 @@ class TestHelpers:
         space = build_space(active, 1)
         load = surface_load_vector(space, ds)
         assert load.sum() == pytest.approx(ds.total_area, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_quadratic_geometry_normal_stabilization_matches_oracle(order):
+    # with k_g = 2 the bulk normal grad(phi_h)/|grad(phi_h)| varies inside a
+    # tet, so the integrand is not polynomial: the oracle evaluates it
+    # directly at the library's own quadrature points
+    active, surface, _ = _two_tet_setup()
+    space = build_space(active, order)
+    tau, alpha = 0.2, 1.5
+    stab = assemble_stabilization(
+        space, active, surface, Stabilization.NORMAL_GRADIENT, tau, alpha, active.h, k_g=2
+    )
+    bary, w = tet_rule(max(2 * (order - 1), 1), positive=True)
+    dense = np.zeros((space.global_dofs, space.global_dofs))
+    scale = tau * active.h ** (alpha - 1.0)
+    for tet_verts, dofs in zip(active.tet_vertices, space.cell_dofs):
+        vol = abs(np.linalg.det((tet_verts[1:] - tet_verts[0]).T)) / 6.0
+        mids = [0.5 * (tet_verts[a] + tet_verts[b]) for a, b in TET_EDGE_PAIRS]
+        nodes = np.vstack([tet_verts, mids])
+        nodal = surface.signed_distance(nodes)
+        for lam, wq in zip(bary, w):
+            x = lam @ tet_verts
+            grad_phi = interpolant_gradient(tet_verts, nodal, 2, x)
+            _, grads = shape_tet(tet_verts, order, x)
+            comp = grads @ (grad_phi / np.linalg.norm(grad_phi))
+            dense[np.ix_(dofs, dofs)] += scale * wq * vol * np.outer(comp, comp)
+    npt.assert_allclose(stab.toarray(), dense, atol=1e-12)

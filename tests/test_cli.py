@@ -134,3 +134,34 @@ def test_export_level_not_negative(tmp_path, capsys):
 def test_offset_outside_box_is_config_error(extra, capsys):
     assert main(["converge", "--case", "1", "--levels", "1", *extra]) == 1
     assert "outside the box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--case", "1", "--levels", "1", "--ncells0", "0"],
+        ["check", "--levels", "2", "--translations", "0"],
+        ["export", "--case", "1", "--level", "5", "--vtk-dir", "unused"],
+    ],
+    ids=["ncells0", "translations", "export-level"],
+)
+def test_out_of_range_count_is_config_error(argv, tmp_path, monkeypatch, capsys, splu_calls):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not splu_calls
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_file_equals_form_is_applied(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = -1\n")
+    assert main(["converge", "--case", "1", "--levels", "1", f"--config={cfg}"]) == 1
+    assert "tau must be positive" in capsys.readouterr().err
+
+
+def test_config_without_value_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["converge", "--case", "1", "--levels", "1", "--config"])
+    assert exit_info.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err

@@ -120,6 +120,30 @@ class TestLiftPoint:
         with pytest.raises(CutSurfaceError, match="lift failure"):
             lift_point(np.array([0.2, 0.2, 0.2]), interp, np.array([1.0, 0, 0]), h=0.5)
 
+    def test_linear_interpolant(self):
+        interp = TetInterpolant.of_field(REF_TET, 1, lambda p: 2 * p[:, 0] - 0.5)
+        out = lift_point(np.array([0.1, 0.3, 0.1]), interp, np.array([1.0, 0, 0]))
+        npt.assert_allclose(out, [0.25, 0.3, 0.1], atol=1e-13)
+
+    def test_reproduces_quadratic_surface_nodes(self, torus):
+        # each node of the k_g = 2 surface is its base node lifted along the
+        # normal of its own cell's quadratic phi_h
+        active = _active(torus, 0)
+        base = build_surface(active, torus, k_g=1)
+        curved = build_surface(active, torus, k_g=2)
+        npt.assert_array_equal(base.cell_active, curved.cell_active)
+        lam3 = base.node_lambdas
+        mids = [0.5 * (lam3[:, a] + lam3[:, b]) for a, b in ((0, 1), (1, 2), (2, 0))]
+        lam6 = np.concatenate([lam3, np.stack(mids, axis=1)], axis=1)
+        tet_verts = active.tet_vertices[base.cell_active]
+        for c in range(0, base.n_cells, 4):  # every 4th of the 3,304 cells
+            verts = tet_verts[c]
+            interp = TetInterpolant.of_field(verts, 2, torus.signed_distance)
+            for i, x0 in enumerate(lam6[c] @ verts):
+                grad = interp.gradient(x0)
+                out = lift_point(x0, interp, grad / np.linalg.norm(grad), h=active.h)
+                npt.assert_allclose(out, curved.nodes[c, i], rtol=0, atol=1e-14)
+
 
 class TestTetInterpolant:
     def test_reproduces_quadratic(self):
