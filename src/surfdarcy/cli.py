@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -100,34 +101,23 @@ def _build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Pre-parse --config and install file values as defaults (flags win)."""
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return
-    values = _load_config_file(path)
-    converters = {
-        "box": _parse_box,
-        "offset": _parse_vector,
-        "tau": float,
-        "alpha": float,
-        "ncells0": int,
-        "levels": int,
-        "translations": int,
-        "case": int,
-        "level": int,
-        "quad_degree": int,
-        "quad_degree_err": int,
-        "seed": int,
-    }
-    defaults = {}
-    for key, val in values.items():
-        conv = converters.get(key, str)
-        defaults[key] = conv(val)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k: v for k, v in defaults.items()})
+def _parse_args(argv):
+    """Parse the command line.  The values of a --config file are read as the
+    chosen subcommand's own flags, placed before those on the command line so
+    that these win; a key that names none of its options is rejected."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = _load_config_file(args.config)
+    unknown = sorted(set(values) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: {args.command} has no option {', '.join(unknown)}"
+        )
+    flags = [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def _validate(args):
@@ -267,11 +257,21 @@ def _cmd_check(args):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    """Run one command; the package's log records go to stderr, each with
+    its level and logger name, while the command runs."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_log = logging.getLogger(__package__)
+    package_log.addHandler(handler)
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    finally:
+        package_log.removeHandler(handler)
+
+
+def _run(argv) -> int:
+    try:
+        args = _parse_args(argv)
         _validate(args)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,22 +9,39 @@ block (one pressure DOF pinned) plus two rank-one corrections.  This is an
 exact identity, not an approximation; the returned residual is always
 measured against the full bordered system.
 
+The grounded block is A = H + K.  H = blockdiag(1/2 M_u + S_u three times,
+1/2 K_p + S_p with the ground DOF pinned) is symmetric positive definite, and
+K, the +-1/2 gradient couplings, is skew, so x^T A x = x^T H x > 0.  Every
+principal submatrix of A is then nonsingular, and elimination without
+pivoting in any symmetric ordering meets no zero pivot (Golub & Van Loan,
+Matrix Computations, on LU of nonsymmetric positive definite systems).  The
+grounded block and its principal blocks are therefore factored by SuperLU in
+its symmetric mode: minimum degree on A^T + A, diagonal pivots only.  On a
+case-6 level-1 block (21,388 unknowns, 12 coarse cells) this takes 1.2 s and
+10.9 M L+U nonzeros, against 6.4 s and 28.1 M for the default COLAMD ordering
+with partial pivoting; the same ordering and pivot threshold without
+symmetric mode take 20-22 s (one 2-vCPU host).
+
 Each system is factorized once (`factorize`); the solve and the condition
 estimate both reuse that factor.  The grounded block is factorized by one of
 two strategies, chosen by size:
 
-- plain SuperLU on its default COLAMD ordering up to NESTED_THRESHOLD
-  unknowns.  A geometric nested-dissection ordering was tried here and
-  removed: on the same 21,000-22,500 unknown blocks it took 21-29 s and
-  52-59 M L+U nonzeros against 7-11 s and 27-31 M for COLAMD, at equal
-  residuals (below 4e-12; timings on one 2-vCPU host);
-- above it, a dissection-tree Schur elimination with dense frontal LU
-  (partial pivoting); per-node back-substitution data is cached in a scratch
-  directory so memory stays bounded by the largest front.  It keeps no factor
-  between solves: each solve redoes the elimination.  On a case-1 level-3
-  system (212,333 unknowns) plain SuperLU fails under a 6 GB address-space
-  cap, while this path solves it in 80 s with a 1.2 GB peak and a relative
-  residual of 1.1e-12.
+- one symmetric-mode SuperLU factor up to NESTED_THRESHOLD unknowns;
+- above it, a dissection-tree Schur elimination: symmetric-mode SuperLU on
+  the leaf blocks and dense frontal LU (partial pivoting) on the separators;
+  per-node back-substitution data is cached in a scratch directory so memory
+  stays bounded by the largest front.  It keeps no factor between solves:
+  each solve redoes the elimination.  On a case-1 level-3 system (212,333
+  unknowns) COLAMD SuperLU fails under a 6 GB address-space cap, while this
+  path solves it in 80 s with a 1.2 GB peak and a relative residual of
+  1.1e-12.  Symmetric mode alone does not make it redundant: its fill grew
+  5.6x from case-1 level 2 to level 3, and at that rate the case-6 level-3
+  block (472,947 unknowns) needs about 500 M nonzeros, some 6 GB for the
+  factor alone.
+
+A bare matrix (no assembled layout) may have zero diagonal entries, such as
+the multiplier row's, and is factored on SuperLU's default COLAMD ordering
+with partial pivoting.
 
 The dissection tree cuts the DOF cloud by coordinate medians, picking per
 node the axis with the smallest one-layer vertex separator (computed from the
@@ -156,9 +173,16 @@ def _max_link_length(matrix: sp.csr_matrix, coords):
 
 
 def _splu(matrix):
-    """SuperLU factor on its default (COLAMD) column ordering."""
+    """SuperLU factor of a grounded block, or of a principal block of one,
+    in symmetric mode: minimum degree on A^T + A and no pivoting, which the
+    positive definite symmetric part makes safe (see the module docstring)."""
     try:
-        return spla.splu(matrix.tocsc())
+        return spla.splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -312,11 +336,16 @@ class _BorderedOperator:
             raise SingularSystemError("constraint row has zero surface measure")
         ground = lay.p_slice.start + int(np.argmax(c_p))
 
-        grounded = matrix[:n, :n].tolil()
-        grounded[ground, :] = 0.0
-        grounded[:, ground] = 0.0
-        grounded[ground, ground] = 1.0
-        grounded = grounded.tocsr()
+        # drop the ground row and column and put a unit on their diagonal
+        block = matrix[:n, :n].tocoo()
+        keep = (block.row != ground) & (block.col != ground)
+        grounded = sp.csr_matrix(
+            (
+                np.append(block.data[keep], 1.0),
+                (np.append(block.row[keep], ground), np.append(block.col[keep], ground)),
+            ),
+            shape=(n, n),
+        )
         self.ground = ground
 
         coords = system.dof_coords
@@ -356,7 +385,11 @@ class Factorization:
         if lay is not None and lay.total == self.matrix.shape[0] and lay.n_p > 0:
             self._lu = _BorderedOperator(self.system)
         else:
-            self._lu = _splu(self.matrix)
+            # anything else may have zero diagonal entries: COLAMD with pivoting
+            try:
+                self._lu = spla.splu(self.matrix.tocsc())
+            except RuntimeError as exc:
+                raise SingularSystemError(f"singular system: {exc}") from exc
 
     def solution(self) -> Solution:
         """Direct solve; the residual is recomputed against the full system."""

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,28 @@ def test_config_file_equals_form_is_applied(tmp_path, capsys):
     cfg.write_text("tau = -1\n")
     assert main(["converge", "--case", "1", "--levels", "1", f"--config={cfg}"]) == 1
     assert "tau must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["tua = 0.37", "config = other.cfg", "translations = 2"])
+def test_config_file_unknown_key_is_config_error(line, tmp_path, capsys, splu_calls):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"levels = 1\n{line}\n")
+    assert main(["converge", "--case", "1", f"--config={cfg}"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and line.split()[0] in err
+    assert not splu_calls
+
+
+def test_warnings_reach_stderr_with_logger_name(monkeypatch, capsys):
+    def warn(*args, **kwargs):
+        logging.getLogger("surfdarcy.solver").warning("condition estimate did not converge")
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver_mod.spla, "splu", warn)
+    assert main(["converge", "--case", "1", "--levels", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "WARNING surfdarcy.solver: condition estimate did not converge\n" in err
+    assert "condition estimate" not in out
 
 
 def test_config_without_value_is_usage_error(capsys):

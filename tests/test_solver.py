@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import surfdarcy.solver as solver_mod
 from surfdarcy.assembly import (
@@ -16,7 +17,7 @@ from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
 from surfdarcy.solver import estimate_condition, factorize, solve
-from surfdarcy.verification import ManufacturedSolution
+from surfdarcy.verification import ManufacturedSolution, case_config, run_level
 
 
 def _raw_system(matrix, rhs, n_u=1, n_p=0):
@@ -45,6 +46,23 @@ def level1_system():
         AssemblyParams(),
     )
     return system, ds, pspace
+
+
+@pytest.fixture(scope="module", params=[1, 6], ids=["case1", "case6"])
+def level0_system(request):
+    config = case_config(request.param)
+    mesh = build_background(config.box, config.n_cells0)
+    return run_level(config, mesh, ManufacturedSolution())["system"]
+
+
+@pytest.fixture
+def splu_kwargs(monkeypatch):
+    calls = []
+    splu = solver_mod.spla.splu
+    monkeypatch.setattr(
+        solver_mod.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw)
+    )
+    return calls
 
 
 class TestSolve:
@@ -122,6 +140,49 @@ class TestSolve:
         assert len(calls) == 1
         npt.assert_array_equal(shared[0].p_coeffs, separate[0].p_coeffs)
         assert shared[1] == separate[1]
+
+
+class TestSymmetricMode:
+    SETTINGS = {
+        "permc_spec": "MMD_AT_PLUS_A",
+        "diag_pivot_thresh": 0,
+        "options": {"SymmetricMode": True},
+    }
+
+    def test_grounded_block_is_factored_in_symmetric_mode(self, level1_system, splu_kwargs):
+        system, _, _ = level1_system
+        factorize(system)
+        assert splu_kwargs == [self.SETTINGS]
+
+    def test_bare_matrix_keeps_default_pivoting(self, level1_system, splu_kwargs):
+        system, _, _ = level1_system
+        factorize(system.matrix)
+        assert splu_kwargs == [{}]
+
+    def test_matches_pivoting_factor(self, level0_system, monkeypatch):
+        system = level0_system
+        sym = solve(system)
+        assert sym.residual_norm < 1e-12 * np.linalg.norm(system.rhs)
+        monkeypatch.setattr(solver_mod, "_splu", lambda m: spla.splu(m.tocsc()))
+        piv = solve(system)
+        npt.assert_allclose(sym.u_coeffs, piv.u_coeffs, rtol=0, atol=1e-10)
+        npt.assert_allclose(sym.p_coeffs, piv.p_coeffs, rtol=0, atol=1e-10)
+        assert sym.multiplier == pytest.approx(piv.multiplier, abs=1e-10)
+
+    def test_singular_grounded_block_raises(self, level1_system):
+        system, _, _ = level1_system
+        matrix = system.matrix.tolil()
+        matrix[0, :] = 0.0
+        singular = AssembledSystem(
+            matrix=matrix.tocsr(),
+            rhs=system.rhs,
+            layout=system.layout,
+            params=system.params,
+            h=system.h,
+            k_g=system.k_g,
+        )
+        with pytest.raises(solver_mod.SingularSystemError, match="exactly singular"):
+            factorize(singular)
 
 
 class TestEstimateCondition:
