@@ -19,7 +19,7 @@ from .cut_surface import (
     surface_mean,
     with_quadrature,
 )
-from .fe_space import FESpace, build_space, eval_basis, interpolate
+from .fe_space import FESpace, build_space, interpolate
 from .geometry import ImplicitSurface, SurfaceFrame, Torus, Translated
 from .mesh import (
     ActiveMesh,
@@ -38,10 +38,10 @@ from .verification import (
     case_config,
     compute_eoc,
     compute_errors,
-    energy_norm,
     report_to_csv,
     report_to_markdown,
     run_case,
+    solution_values,
     tangency_defect,
 )
 

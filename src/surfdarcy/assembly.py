@@ -41,7 +41,6 @@ __all__ = [
     "assemble_surface_stiffness",
     "assemble_bulk_mass",
     "surface_load_vector",
-    "export_matrix_market",
     "AssemblyError",
 ]
 
@@ -99,7 +98,7 @@ class AssembledSystem:
 def _cell_tab(space: FESpace, ds: DiscreteSurface):
     """Per-cell basis tabulation at the surface quadrature points."""
     m = ds.qp_points.shape[1]
-    values, grads, _ = fe_space.tabulate(space, ds.point_active, ds.points)
+    values, grads, _ = fe_space.tabulate(space, ds.point_active, ds.lambdas)
     nb = values.shape[1]
     return (
         values.reshape(-1, m, nb),
@@ -115,6 +114,11 @@ def _scatter(data, rows_dofs, cols_dofs, shape):
         (data.ravel(), (rows.ravel(), cols.ravel())), shape=shape
     )
     return mat.tocsr()
+
+
+def _scatter_vector(contrib, dofs, n):
+    """Sum per-cell contributions (nc, nb) into a global vector of length n."""
+    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
 
 
 def assemble_surface_mass(space: FESpace, ds: DiscreteSurface) -> sp.csr_matrix:
@@ -146,8 +150,7 @@ def surface_load_vector(space: FESpace, ds: DiscreteSurface, values=None) -> np.
     w = ds.qp_weights
     if values is not None:
         w = w * np.asarray(values, dtype=float).reshape(w.shape)
-    contrib = np.einsum("cm,cmj->cj", w, vals)
-    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=space.global_dofs)
+    return _scatter_vector(np.einsum("cm,cmj->cj", w, vals), dofs, space.global_dofs)
 
 
 def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
@@ -201,10 +204,8 @@ def assemble_stabilization(
     dvals = (
         shapes.tet_p1_dvalues(bary) if space.order == 1 else shapes.tet_p2_dvalues(bary)
     )  # (m, nb, 4)
-    tet_verts = active.tet_vertices
-    lam_grads = shapes.barycentric_gradients(tet_verts)  # (t, 4, 3)
     vols = _tet_volumes(active)
-    grads = np.einsum("mba,tax->tmbx", dvals, lam_grads)  # (t, m, nb, 3)
+    grads = np.einsum("mba,tax->tmbx", dvals, space.lam_grads)  # (t, m, nb, 3)
 
     if kind == Stabilization.FULL_GRADIENT:
         data = np.einsum("m,t,tmbx,tmcx->tbc", w, vols, grads, grads)
@@ -255,8 +256,10 @@ def assemble(
     layout = SystemLayout(n_u=n_u, n_p=n_p)
     w = ds.qp_weights
 
-    uvals, _, udofs = _cell_tab(vspace, ds)
+    # one tabulation per space: the pressure's serves the velocity when the
+    # two are the same space, and the zero-mean constraint row
     pvals, pgrads, pdofs = _cell_tab(pspace, ds)
+    uvals, _, udofs = (pvals, pgrads, pdofs) if vspace is pspace else _cell_tab(vspace, ds)
 
     mass_u = _scatter(
         np.einsum("cm,cmi,cmj->cij", w, uvals, uvals), udofs, udofs, (n_u, n_u)
@@ -277,11 +280,11 @@ def assemble(
     stab_u = assemble_stabilization(
         vspace, active, surface, params.stab, params.tau, params.alpha, active.h, ds.k_g
     )
-    stab_p = assemble_stabilization(
+    stab_p = stab_u if vspace is pspace else assemble_stabilization(
         pspace, active, surface, params.stab, params.tau, params.alpha, active.h, ds.k_g
     )
 
-    constraint = surface_load_vector(pspace, ds)
+    constraint = _scatter_vector(np.einsum("cm,cmj->cj", w, pvals), pdofs, n_p)
 
     # right-hand side
     f_vals = surface.extend_scalar(f, ds.points).reshape(w.shape)
@@ -289,15 +292,11 @@ def assemble(
     rhs = np.zeros(layout.total)
     for c in range(3):
         contrib = 0.5 * np.einsum("cm,cmj->cj", w * g_vals[..., c], uvals)
-        rhs[layout.u_slice(c)] = np.bincount(
-            udofs.ravel(), weights=contrib.ravel(), minlength=n_u
-        )
+        rhs[layout.u_slice(c)] = _scatter_vector(contrib, udofs, n_u)
     contrib_p = np.einsum("cm,cmj->cj", w * f_vals, pvals) + 0.5 * np.einsum(
         "cm,cmx,cmjx->cj", w, g_vals, pgrads
     )
-    rhs[layout.p_slice] = np.bincount(
-        pdofs.ravel(), weights=contrib_p.ravel(), minlength=n_p
-    )
+    rhs[layout.p_slice] = _scatter_vector(contrib_p, pdofs, n_p)
 
     diag_u = 0.5 * mass_u + stab_u
     col = sp.csr_matrix(constraint[:, None])
@@ -327,8 +326,3 @@ def assemble(
         dof_coords=dof_coords,
     )
 
-
-def export_matrix_market(system: AssembledSystem, path):
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), system.matrix)

@@ -1,7 +1,7 @@
 """Command-line front end: convergence studies, property-check suites, and
 VTK exports.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
 3 check-suite failure.
 """
 
@@ -62,8 +62,17 @@ def _load_config_file(path):
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1) instead of
+    exiting with argparse's code 2, which is reserved for numerical failures;
+    the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfdarcy",
         description="Stabilized cut finite element solver for surface Darcy flow",
     )
@@ -197,14 +206,12 @@ def _write_level(case, level, out, outdir: Path):
     ds = out["ds"]
     solution = out["solution"]
 
-    nodes, normals = vtk_io.surface_node_points(ds)
-    flat = nodes.reshape(-1, 3)
-    cells = np.repeat(ds.cell_active, nodes.shape[1])
-    p_vals = fe_space.evaluate(pspace, solution.p_coeffs, cells, flat)
-    u_vals = np.stack(
-        [fe_space.evaluate(vspace, solution.u_coeffs[c], cells, flat) for c in range(3)],
-        axis=1,
-    )
+    # the surface holds its nodes' barycentrics, in surface_node_points order
+    _, normals = vtk_io.surface_node_points(ds)
+    lam = ds.node_lambdas.reshape(-1, 4)
+    cells = np.repeat(ds.cell_active, ds.node_lambdas.shape[1])
+    p_vals = fe_space.evaluate(pspace, solution.p_coeffs, cells, lam)
+    u_vals = fe_space.evaluate(vspace, solution.u_coeffs, cells, lam)
     surface_path = outdir / f"surface_case{case}_level{level}.vtk"
     vtk_io.export_surface(
         surface_path,

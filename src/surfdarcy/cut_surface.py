@@ -75,6 +75,7 @@ class DiscreteSurface:
     node_lambdas: np.ndarray  # (nc, 3 or 6, 4) barycentric w.r.t. parent tet
     flips: np.ndarray  # (nc,) bool, orientation of the reference normal
     qp_points: np.ndarray  # (nc, m, 3)
+    qp_lambdas: np.ndarray  # (nc, m, 4) barycentric w.r.t. parent tet
     qp_weights: np.ndarray  # (nc, m)
     qp_normals: np.ndarray  # (nc, m, 3)
 
@@ -90,6 +91,10 @@ class DiscreteSurface:
     @property
     def points(self):
         return self.qp_points.reshape(-1, 3)
+
+    @property
+    def lambdas(self):
+        return self.qp_lambdas.reshape(-1, 4)
 
     @property
     def weights(self):
@@ -436,7 +441,6 @@ def build_surface(
         )
         node_lam, nodes = _lift_cells(cell_phi, lam3, active.h, surface.surface_normal)
 
-    qp_points, qp_weights, qp_normals = _attach_quadrature(k_g, nodes, flips, quad_degree)
     return DiscreteSurface(
         k_g=k_g,
         quad_degree=quad_degree,
@@ -446,9 +450,7 @@ def build_surface(
         nodes=nodes,
         node_lambdas=node_lam,
         flips=flips,
-        qp_points=qp_points,
-        qp_weights=qp_weights,
-        qp_normals=qp_normals,
+        **_attach_quadrature(k_g, nodes, node_lam, flips, quad_degree),
     )
 
 
@@ -482,7 +484,9 @@ def _lift_cells(phi, lam3, h, exact_normal):
     return lam6, lifted
 
 
-def _attach_quadrature(k_g, nodes, flips, degree, bary=None):
+def _attach_quadrature(k_g, nodes, node_lambdas, flips, degree, bary=None):
+    """Quadrature points, their barycentrics in the parent tet, weights and
+    oriented unit normals of the cell maps, as `DiscreteSurface` fields."""
     if bary is None:
         bary, w = triangle_rule(degree)
     else:
@@ -511,20 +515,20 @@ def _attach_quadrature(k_g, nodes, flips, degree, bary=None):
     normals[norm == 0.0] = 0.0
     sign = np.where(flips, -1.0, 1.0)
     normals *= sign[:, None, None]
-    return points, weights, normals
+    return {
+        "qp_points": points,
+        "qp_lambdas": np.einsum("mk,ckl->cml", values, node_lambdas),
+        "qp_weights": weights,
+        "qp_normals": normals,
+    }
 
 
 def with_quadrature(ds: DiscreteSurface, degree: int) -> DiscreteSurface:
     """Same surface cells, re-sampled with a quadrature rule of another degree."""
-    qp_points, qp_weights, qp_normals = _attach_quadrature(
-        ds.k_g, ds.nodes, ds.flips, degree
-    )
     return replace(
         ds,
         quad_degree=degree,
-        qp_points=qp_points,
-        qp_weights=qp_weights,
-        qp_normals=qp_normals,
+        **_attach_quadrature(ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, degree),
     )
 
 
@@ -534,8 +538,10 @@ def sample_cells(ds: DiscreteSurface, bary):
     Returns points (nc, m, 3) and oriented unit normals (nc, m, 3); used for
     exporting nodal data on the discrete surface.
     """
-    points, _, normals = _attach_quadrature(ds.k_g, ds.nodes, ds.flips, degree=None, bary=bary)
-    return points, normals
+    fields = _attach_quadrature(
+        ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, degree=None, bary=bary
+    )
+    return fields["qp_points"], fields["qp_normals"]
 
 
 def surface_mean(ds: DiscreteSurface, values) -> float:

@@ -4,6 +4,12 @@ Degrees of freedom sit at vertices (P1) plus edge midpoints (P2) of active
 tets only; global numbering is vertices in lexicographic grid order followed
 by edges ordered by their sorted endpoint pair, so rebuilding from identical
 inputs yields identical DOF maps.
+
+Basis functions are tabulated at points given by their active tet and their
+barycentric coordinates in it, which the discrete surface already holds for
+its quadrature points and nodes; nothing here locates a physical point.  The
+gradients of the barycentric coordinates are computed once per tet, when the
+space is built.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 from . import shapes
 from .mesh import ActiveMesh
 
-__all__ = ["FESpace", "build_space", "eval_basis", "interpolate", "FESpaceError"]
+__all__ = ["FESpace", "build_space", "interpolate", "FESpaceError"]
 
 
 class FESpaceError(ValueError):
@@ -29,6 +35,7 @@ class FESpace:
     global_dofs: int
     cell_dofs: np.ndarray  # (n_active, 4 or 10)
     dof_coords: np.ndarray  # (global_dofs, 3)
+    lam_grads: np.ndarray  # (n_active, 4, 3) gradients of the barycentric coords
 
     @property
     def local_dofs(self):
@@ -69,57 +76,38 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
         global_dofs=ndof,
         cell_dofs=cell_dofs.astype(np.int64),
         dof_coords=np.concatenate(coords, axis=0),
+        lam_grads=shapes.barycentric_gradients(active.tet_vertices),
     )
 
 
-def tabulate(space: FESpace, cell_positions, points):
-    """Basis values and physical gradients at points inside given active tets.
+def tabulate(space: FESpace, cell_positions, lambdas):
+    """Basis values and physical gradients at points given in barycentric
+    coordinates of their active tets.
 
-    cell_positions: (n,) active-mesh tet positions; points: (n, 3).
+    cell_positions: (n,) active-mesh tet positions; lambdas: (n, 4)
+    barycentric coordinates in those tets, such as `DiscreteSurface.lambdas`.
     Returns values (n, nb), gradients (n, nb, 3), dofs (n, nb).
     """
     cells = np.asarray(cell_positions, dtype=np.int64)
-    pts = np.asarray(points, dtype=float)
-    verts = space.active_mesh.tet_vertices[cells]
-    lam = shapes.barycentric_coords(verts, pts)
-    lam_grads = shapes.barycentric_gradients(verts)
+    lam = np.asarray(lambdas, dtype=float)
     if space.order == 1:
         values = shapes.tet_p1_values(lam)
         dvalues = shapes.tet_p1_dvalues(lam)
     else:
         values = shapes.tet_p2_values(lam)
         dvalues = shapes.tet_p2_dvalues(lam)
-    grads = np.einsum("nba,nax->nbx", dvalues, lam_grads)
+    grads = np.einsum("nba,nax->nbx", dvalues, space.lam_grads[cells])
     return values, grads, space.cell_dofs[cells]
 
 
-def eval_basis(space: FESpace, tet: int, x):
-    """All local basis values and gradients at one point of one active tet."""
-    verts = space.active_mesh.tet_vertices[int(tet)]
-    lam = shapes.barycentric_coords(verts, np.asarray(x, dtype=float))
-    if np.any(lam < -1e-10) or np.any(lam > 1.0 + 1e-10):
-        raise FESpaceError("point lies outside the requested tet")
-    values, grads, _ = tabulate(space, np.array([tet]), np.asarray(x, dtype=float)[None])
-    return values[0], grads[0]
-
-
 def interpolate(space: FESpace, field) -> np.ndarray:
-    """Nodal interpolation: coefficients are the field values at DOF coords."""
-    try:
-        vals = np.asarray(field(space.dof_coords), dtype=float)
-        if vals.shape == (space.global_dofs,):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(field(x)) for x in space.dof_coords])
+    """Nodal interpolation: the field, mapping (n, 3) points to (n,) values,
+    at the DOF coordinates."""
+    return np.asarray(field(space.dof_coords), dtype=float)
 
 
-def evaluate(space: FESpace, coeffs, cell_positions, points):
-    """Point values of the FE function with the given coefficient vector."""
-    values, _, dofs = tabulate(space, cell_positions, points)
-    return np.einsum("nb,nb->n", values, np.asarray(coeffs)[dofs])
-
-
-def evaluate_gradient(space: FESpace, coeffs, cell_positions, points):
-    _, grads, dofs = tabulate(space, cell_positions, points)
-    return np.einsum("nbx,nb->nx", grads, np.asarray(coeffs)[dofs])
+def evaluate(space: FESpace, coeffs, cell_positions, lambdas):
+    """Values of the FE functions with coefficients (..., global_dofs) at
+    barycentric coordinates (n, 4) of active tets: (n, ...)."""
+    values, _, dofs = tabulate(space, cell_positions, lambdas)
+    return np.einsum("nb,...nb->n...", values, np.asarray(coeffs)[..., dofs])

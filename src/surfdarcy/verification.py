@@ -9,12 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fe_space
-from .assembly import (
-    AssemblyParams,
-    Stabilization,
-    assemble,
-    assemble_stabilization,
-)
+from .assembly import AssemblyParams, Stabilization, assemble
 from .cut_surface import DiscreteSurface, build_surface, surface_mean, with_quadrature
 from .geometry import ImplicitSurface, Torus, Translated
 from .mesh import (
@@ -34,8 +29,8 @@ __all__ = [
     "CaseConfig",
     "CASE_TABLE",
     "case_config",
+    "solution_values",
     "compute_errors",
-    "energy_norm",
     "compute_eoc",
     "tangency_defect",
     "run_case",
@@ -193,14 +188,25 @@ class ConvergenceReport:
     finest: dict | None = field(default=None, repr=False, compare=False)
 
 
-def _velocity_values(vspace, coeffs3, cells, points):
-    values, _, dofs = fe_space.tabulate(vspace, cells, points)
-    gathered = np.asarray(coeffs3)[:, dofs]  # (3, n, nb)
-    return np.einsum("nb,knb->nk", values, gathered)
+def solution_values(solution: Solution, spaces, ds: DiscreteSurface):
+    """u_h (n, 3), p_h (n,) and grad p_h (n, 3) at the quadrature points of
+    ds; the pressure tabulation serves the velocity when both use one space."""
+    vspace, pspace = spaces
+    ptab = fe_space.tabulate(pspace, ds.point_active, ds.lambdas)
+    pvals, pgrads, pdofs = ptab
+    uvals, _, udofs = ptab if vspace is pspace else fe_space.tabulate(
+        vspace, ds.point_active, ds.lambdas
+    )
+    u_h = np.einsum("nb,knb->nk", uvals, np.asarray(solution.u_coeffs)[:, udofs])
+    p_local = np.asarray(solution.p_coeffs)[pdofs]
+    p_h = np.einsum("nb,nb->n", pvals, p_local)
+    grad_p_h = np.einsum("nbx,nb->nx", pgrads, p_local)
+    return u_h, p_h, grad_p_h
 
 
-def compute_errors(solution: Solution, spaces, ds: DiscreteSurface, exact) -> ErrorTriple:
-    """Quadrature error norms on the discrete surface.
+def compute_errors(values, ds: DiscreteSurface, exact) -> ErrorTriple:
+    """Quadrature error norms on the discrete surface, from the discrete
+    fields (u_h, p_h, grad p_h) at its quadrature points (`solution_values`).
 
     Velocity: all three components of the discrete field against the extended
     exact tangential field.  Pressure compares against the exact pressure with
@@ -208,19 +214,12 @@ def compute_errors(solution: Solution, spaces, ds: DiscreteSurface, exact) -> Er
     construction); the H1 seminorm uses the discrete tangential gradient
     against the exact surface gradient at the closest points.
     """
-    vspace, pspace = spaces
+    u_h, p_h, grad_p_h = values
     pts = ds.points
     w = ds.weights
-    cells = ds.point_active
 
-    u_h = _velocity_values(vspace, solution.u_coeffs, cells, pts)
     u_e = exact.velocity(pts)
     e_u_sq = float(w @ np.sum((u_h - u_e) ** 2, axis=1))
-
-    pvals, pgrads, pdofs = fe_space.tabulate(pspace, cells, pts)
-    p_coeffs = solution.p_coeffs
-    p_h = np.einsum("nb,nb->n", pvals, p_coeffs[pdofs])
-    grad_p_h = np.einsum("nbx,nb->nx", pgrads, p_coeffs[pdofs])
 
     p_e = exact.pressure(pts)
     shift = surface_mean(ds, p_e)
@@ -239,27 +238,10 @@ def compute_errors(solution: Solution, spaces, ds: DiscreteSurface, exact) -> Er
     )
 
 
-def energy_norm(u_coeffs, p_coeffs, spaces, ds: DiscreteSurface, stab_u, stab_p) -> float:
-    """Natural discrete energy norm: surface L2 of the velocity, surface L2 of
-    the full pressure gradient, plus the stabilization seminorm."""
-    vspace, pspace = spaces
-    pts = ds.points
-    w = ds.weights
-    cells = ds.point_active
-    u_h = _velocity_values(vspace, u_coeffs, cells, pts)
-    grad_p = fe_space.evaluate_gradient(pspace, p_coeffs, cells, pts)
-    total = float(w @ np.sum(u_h**2, axis=1)) + float(w @ np.sum(grad_p**2, axis=1))
-    for c in range(3):
-        total += float(np.asarray(u_coeffs)[c] @ (stab_u @ np.asarray(u_coeffs)[c]))
-    total += float(np.asarray(p_coeffs) @ (stab_p @ np.asarray(p_coeffs)))
-    return float(np.sqrt(total))
-
-
-def tangency_defect(solution: Solution, ds: DiscreteSurface, vspace) -> float:
-    """Surface L2 norm of u_h . n_exact, the weak-tangency residual."""
-    pts = ds.points
-    u_h = _velocity_values(vspace, solution.u_coeffs, ds.point_active, pts)
-    n_exact = ds.surface.surface_normal(pts)
+def tangency_defect(u_h, ds: DiscreteSurface) -> float:
+    """Surface L2 norm of u_h . n_exact, the weak-tangency residual, from the
+    discrete velocity u_h (n, 3) at the quadrature points of ds."""
+    n_exact = ds.surface.surface_normal(ds.points)
     defect = np.einsum("nx,nx->n", u_h, n_exact)
     return float(np.sqrt(ds.weights @ defect**2))
 
@@ -286,7 +268,7 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     ds = build_surface(active, surface, config.k_g, config.quad_degree)
     ds_err = with_quadrature(ds, config.quad_degree_err)
     vspace = fe_space.build_space(active, config.k_u)
-    pspace = fe_space.build_space(active, config.k_p)
+    pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
     params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
     system = assemble(
         (vspace, pspace),
@@ -297,8 +279,9 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
         params,
     )
     solution = solve(system)
-    errors = compute_errors(solution, (vspace, pspace), ds_err, exact)
-    defect = tangency_defect(solution, ds_err, vspace)
+    values = solution_values(solution, (vspace, pspace), ds_err)
+    errors = compute_errors(values, ds_err, exact)
+    defect = tangency_defect(values[0], ds_err)
     return {
         "active": active,
         "ds": ds,

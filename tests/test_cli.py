@@ -184,8 +184,39 @@ def test_warnings_reach_stderr_with_logger_name(monkeypatch, capsys):
     assert "condition estimate" not in out
 
 
-def test_config_without_value_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["converge", "--case", "1", "--levels", "1", "--config"])
-    assert exit_info.value.code == 2
+def test_config_without_value_is_usage_error(capsys, splu_calls):
+    assert main(["converge", "--case", "1", "--levels", "1", "--config"]) == 1
     assert "--config: expected one argument" in capsys.readouterr().err
+    assert not splu_calls
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--case", "1", "--tau", "abc"], "invalid float value: 'abc'"),
+        (["converge", "--levels", "1"], "the following arguments are required: --case"),
+        (["converge", "--case", "1", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["bad-value", "missing-case", "unknown-flag"],
+)
+def test_usage_error_is_config_error(argv, message, capsys, splu_calls):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not splu_calls
+
+
+def test_config_file_bad_value_is_config_error(tmp_path, capsys, splu_calls):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = abc\n")
+    assert main(["converge", "--case", "1", "--levels", "1", f"--config={cfg}"]) == 1
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+    assert not splu_calls
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["converge", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert "usage: surfdarcy" in capsys.readouterr().out

@@ -321,6 +321,14 @@ class TestRequadrature:
         assert ds6.total_area == pytest.approx(ds.total_area, rel=1e-12)
         npt.assert_array_equal(ds6.nodes, ds.nodes)
 
+    @pytest.mark.parametrize("k_g", [1, 2])
+    def test_barycentrics_map_to_points(self, k_g, torus, active_l1):
+        ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+        for surf in (ds, with_quadrature(ds, 6)):
+            verts = active_l1.tet_vertices[surf.point_active]
+            mapped = np.einsum("nl,nlx->nx", surf.lambdas, verts)
+            npt.assert_allclose(mapped, surf.points, rtol=0, atol=1e-13)
+
 
 def test_determinism(torus, active_l1):
     a = build_surface(active_l1, torus, k_g=2, quad_degree=4)

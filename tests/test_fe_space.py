@@ -4,7 +4,7 @@ import pytest
 
 from surfdarcy import fe_space
 from surfdarcy.cut_surface import build_surface, with_quadrature
-from surfdarcy.fe_space import FESpaceError, build_space, eval_basis, interpolate
+from surfdarcy.fe_space import FESpaceError, build_space, interpolate, tabulate
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
 from surfdarcy.verification import ManufacturedSolution
@@ -53,40 +53,36 @@ class TestBuildSpace:
 
 
 class TestEvalBasis:
+    """Basis values and gradients through `tabulate` at barycentrics."""
+
     def test_p1_kronecker_at_vertices(self, active):
         space = build_space(active, 1)
-        verts = active.tet_vertices[5]
-        for i in range(4):
-            values, _ = eval_basis(space, 5, verts[i])
-            expected = np.zeros(4)
-            expected[i] = 1.0
-            npt.assert_allclose(values, expected, atol=1e-12)
+        values, _, _ = tabulate(space, np.full(4, 5), np.eye(4))
+        npt.assert_allclose(values, np.eye(4), atol=1e-12)
 
     def test_partition_of_unity(self, active):
         rng = np.random.default_rng(0)
+        tets = rng.integers(0, len(active), size=20)
+        lam = rng.dirichlet(np.ones(4), size=20)
         for order in (1, 2):
             space = build_space(active, order)
-            for _ in range(20):
-                tet = rng.integers(0, len(active))
-                lam = rng.dirichlet(np.ones(4))
-                x = lam @ active.tet_vertices[tet]
-                values, grads = eval_basis(space, tet, x)
-                assert values.sum() == pytest.approx(1.0, abs=1e-12)
-                npt.assert_allclose(grads.sum(axis=0), 0.0, atol=1e-11)
+            values, grads, _ = tabulate(space, tets, lam)
+            npt.assert_allclose(values.sum(axis=1), 1.0, atol=1e-12)
+            npt.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-11)
+
+    def test_p1_gradients_are_barycentric_gradients(self, active):
+        space = build_space(active, 1)
+        _, grads, _ = tabulate(space, [7], [[0.1, 0.2, 0.3, 0.4]])
+        verts = active.tet_vertices[7]
+        # grad(lam_i) . (v_j - v_0) = delta_ij - delta_i0
+        expected = np.eye(4)
+        expected[0] -= 1.0
+        npt.assert_allclose(grads[0] @ (verts - verts[0]).T, expected, atol=1e-12)
 
     def test_p2_vertex_functions_vanish_at_midpoints(self, active):
         space = build_space(active, 2)
-        verts = active.tet_vertices[3]
-        mid = 0.5 * (verts[0] + verts[1])
-        values, _ = eval_basis(space, 3, mid)
-        npt.assert_allclose(values[:4], [0, 0, 0, 0], atol=1e-12)
-
-    def test_outside_point_raises(self, active):
-        space = build_space(active, 1)
-        centroid = active.tet_vertices[0].mean(axis=0)
-        far = centroid + 10.0
-        with pytest.raises(FESpaceError):
-            eval_basis(space, 0, far)
+        values, _, _ = tabulate(space, [3], [[0.5, 0.5, 0.0, 0.0]])
+        npt.assert_allclose(values[0, :4], [0, 0, 0, 0], atol=1e-12)
 
 
 class TestContinuity:
@@ -105,12 +101,14 @@ class TestContinuity:
             for pick in picks:
                 face = interior[pick]
                 t1, t2 = faces[face]
-                verts = active.parent.vertices[list(face)]
                 lam = rng.dirichlet(np.ones(3), size=5)
-                pts = lam @ verts
-                v1 = fe_space.evaluate(space, coeffs, np.full(5, t1), pts)
-                v2 = fe_space.evaluate(space, coeffs, np.full(5, t2), pts)
-                npt.assert_allclose(v1, v2, atol=1e-10)
+                values = []
+                for tet in (t1, t2):
+                    # the face's barycentrics in the tet, 0 at its other vertex
+                    lam4 = np.zeros((5, 4))
+                    lam4[:, [list(active.tets[tet]).index(v) for v in face]] = lam
+                    values.append(fe_space.evaluate(space, coeffs, np.full(5, tet), lam4))
+                npt.assert_allclose(values[0], values[1], atol=1e-10)
 
 
 class TestInterpolate:
@@ -122,7 +120,7 @@ class TestInterpolate:
         tets = rng.integers(0, len(active), size=100)
         lam = rng.dirichlet(np.ones(4), size=100)
         pts = np.einsum("nl,nlx->nx", lam, active.tet_vertices[tets])
-        values = fe_space.evaluate(space, coeffs, tets, pts)
+        values = fe_space.evaluate(space, coeffs, tets, lam)
         npt.assert_allclose(values, field(pts), atol=1e-12)
 
     def test_p2_reproduces_quadratics(self, active):
@@ -133,13 +131,8 @@ class TestInterpolate:
         tets = rng.integers(0, len(active), size=100)
         lam = rng.dirichlet(np.ones(4), size=100)
         pts = np.einsum("nl,nlx->nx", lam, active.tet_vertices[tets])
-        values = fe_space.evaluate(space, coeffs, tets, pts)
+        values = fe_space.evaluate(space, coeffs, tets, lam)
         npt.assert_allclose(values, field(pts), atol=1e-12)
-
-    def test_scalar_field_fallback(self, active):
-        space = build_space(active, 1)
-        coeffs = interpolate(space, lambda x: float(np.sum(x)))
-        npt.assert_allclose(coeffs, space.dof_coords.sum(axis=1), atol=1e-14)
 
     def test_interpolation_rate_of_extended_pressure(self, torus):
         # nodal interpolation of the extended exact pressure converges at
@@ -155,7 +148,7 @@ class TestInterpolate:
             space = build_space(act, 1)
             coeffs = interpolate(space, exact.pressure)
             ds = with_quadrature(build_surface(act, torus, 1, 4), 6)
-            vals = fe_space.evaluate(space, coeffs, ds.point_active, ds.points)
+            vals = fe_space.evaluate(space, coeffs, ds.point_active, ds.lambdas)
             err = np.sqrt(ds.weights @ (vals - exact.pressure(ds.points)) ** 2)
             errors.append(err)
             hs.append(mesh.h)

@@ -97,7 +97,7 @@ class TestSolve:
         sol = solve(system)
         assert sol.residual_norm <= 1e-9 * np.linalg.norm(system.rhs)
         # constraint satisfied: discrete pressure has zero surface mean
-        vals = evaluate(pspace, sol.p_coeffs, ds.point_active, ds.points)
+        vals = evaluate(pspace, sol.p_coeffs, ds.point_active, ds.lambdas)
         assert abs(surface_mean(ds, vals)) < 1e-9
 
     def test_nonsquare_raises(self):

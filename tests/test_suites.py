@@ -4,6 +4,7 @@ full sizes stated in the study configuration."""
 import pytest
 
 import surfdarcy.solver as solver_mod
+import surfdarcy.suites as suites_mod
 from surfdarcy.suites import (
     geometric_rate_suite,
     lemma_ratio_suite,
@@ -47,3 +48,19 @@ def test_positioning_suite_factorizes_each_system_once(monkeypatch):
     result = positioning_suite(level=0, n_translations=1, seed=0)
     assert len(calls) == 2, "one system per stabilization, one factorization each"
     assert len(result.lines) == 4
+
+
+def test_positioning_suite_builds_each_translation_once(monkeypatch):
+    calls = []
+    build_surface = suites_mod.build_surface
+    monkeypatch.setattr(
+        suites_mod,
+        "build_surface",
+        lambda *a, **kw: calls.append(1) or build_surface(*a, **kw),
+    )
+    result = positioning_suite(level=0, n_translations=2, seed=0)
+    assert len(calls) == 2, "one surface per translation, shared by both stabilizations"
+    # the report keeps its order: both checks of one stabilization, then the other
+    parts = [line.split(": ", 2) for line in result.lines]
+    assert [kind for _, kind, _ in parts] == ["full", "full", "normal", "normal"]
+    assert [text.split()[0] for _, _, text in parts] == ["all", "condition"] * 2

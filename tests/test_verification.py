@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from surfdarcy import fe_space
-from surfdarcy.assembly import AssemblyParams, Stabilization, assemble_stabilization
+from surfdarcy.assembly import Stabilization
 from surfdarcy.cut_surface import build_surface, surface_mean, with_quadrature
 from surfdarcy.geometry import Torus, fd_gradient
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
@@ -15,11 +15,11 @@ from surfdarcy.verification import (
     case_config,
     compute_eoc,
     compute_errors,
-    energy_norm,
     report_to_csv,
     report_to_markdown,
     run_case,
     run_level,
+    solution_values,
     tangency_defect,
 )
 
@@ -104,7 +104,7 @@ class TestComputeErrors:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        errors = compute_errors(zero, (vspace, pspace), ds_err, exact)
+        errors = compute_errors(solution_values(zero, (vspace, pspace), ds_err), ds_err, exact)
         # ||z||^2 over the torus: 2 pi^2 R r^3, so ||z|| ~ sqrt(area r^2 / 2);
         # the discrete surface carries an O(h^2) geometric error at level 1
         expected_p = np.sqrt(2 * np.pi**2 * 1.0 * 0.5**3)
@@ -135,7 +135,7 @@ class TestComputeErrors:
             )
             p_coeffs = fe_space.interpolate(pspace, exact.pressure)
             sol = Solution(u_coeffs, p_coeffs, 0.0, 0.0)
-            errors = compute_errors(sol, (vspace, pspace), ds, exact)
+            errors = compute_errors(solution_values(sol, (vspace, pspace), ds), ds, exact)
             errs.append(errors.u_l2)
             hs.append(mesh.h)
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -154,43 +154,21 @@ class TestComputeErrors:
             )
 
 
-class TestEnergyNorm:
-    def test_zero_and_scaling(self, exact, level1):
-        vspace, pspace = level1["spaces"]
-        ds = level1["ds"]
-        active = level1["active"]
-        stab_u = assemble_stabilization(
-            vspace, active, exact.surface, Stabilization.FULL_GRADIENT,
-            0.1, 2.0, active.h, 1,
+class TestTabulationsPerLevel:
+    """`run_level` tabulates each (space order, point set) once: the surface
+    and its error-quadrature copy, for one space in case 1 and two in case 6."""
+
+    @pytest.mark.parametrize("case, calls", [(1, 2), (6, 4)])
+    def test_run_level_tabulation_count(self, case, calls, exact, monkeypatch):
+        counted = []
+        tabulate = fe_space.tabulate
+        monkeypatch.setattr(
+            fe_space, "tabulate", lambda *a, **kw: counted.append(1) or tabulate(*a, **kw)
         )
-        stab_p = stab_u
-        zero = energy_norm(
-            np.zeros((3, vspace.global_dofs)), np.zeros(pspace.global_dofs),
-            (vspace, pspace), ds, stab_u, stab_p,
-        )
-        assert zero == 0.0
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal((3, vspace.global_dofs))
-        p = rng.standard_normal(pspace.global_dofs)
-        one = energy_norm(u, p, (vspace, pspace), ds, stab_u, stab_p)
-        two = energy_norm(2 * u, 2 * p, (vspace, pspace), ds, stab_u, stab_p)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-        # dominates the plain velocity surface norm
-        u_only = np.sqrt(
-            ds.weights
-            @ np.sum(
-                np.stack(
-                    [
-                        fe_space.evaluate(vspace, u[c], ds.point_active, ds.points)
-                        for c in range(3)
-                    ],
-                    axis=1,
-                )
-                ** 2,
-                axis=1,
-            )
-        )
-        assert one >= u_only
+        out = run_level(case_config(case), build_background(), exact)
+        assert len(counted) == calls
+        vspace, pspace = out["spaces"]
+        assert (vspace is pspace) == (case == 1)
 
 
 class TestEOC:
@@ -222,7 +200,9 @@ class TestTangency:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        assert tangency_defect(zero, level1["ds_err"], vspace) == 0.0
+        ds_err = level1["ds_err"]
+        u_h = solution_values(zero, (vspace, pspace), ds_err)[0]
+        assert tangency_defect(u_h, ds_err) == 0.0
 
     def test_interpolated_exact_field_decreases(self, exact):
         mesh = build_background()
@@ -240,8 +220,8 @@ class TestTangency:
                     for c in range(3)
                 ]
             )
-            sol = Solution(u_coeffs, np.zeros(1), 0.0, 0.0)
-            defects.append(tangency_defect(sol, ds, vspace))
+            u_h = fe_space.evaluate(vspace, u_coeffs, ds.point_active, ds.lambdas)
+            defects.append(tangency_defect(u_h, ds))
         assert defects[1] < defects[0]
 
 
