@@ -207,7 +207,6 @@ def _write_level(case, level, out, outdir: Path):
     solution = out["solution"]
 
     # the surface holds its nodes' barycentrics, in surface_node_points order
-    _, normals = vtk_io.surface_node_points(ds)
     lam = ds.node_lambdas.reshape(-1, 4)
     cells = np.repeat(ds.cell_active, ds.node_lambdas.shape[1])
     p_vals = fe_space.evaluate(pspace, solution.p_coeffs, cells, lam)
@@ -220,7 +219,6 @@ def _write_level(case, level, out, outdir: Path):
             "pressure": p_vals,
             "velocity": u_vals,
             "speed": np.linalg.norm(u_vals, axis=1),
-            "normal": normals.reshape(-1, 3),
         },
     )
     mesh_path = outdir / f"active_mesh_case{case}_level{level}.vtk"

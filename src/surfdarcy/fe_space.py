@@ -96,7 +96,7 @@ def tabulate(space: FESpace, cell_positions, lambdas):
     else:
         values = shapes.tet_p2_values(lam)
         dvalues = shapes.tet_p2_dvalues(lam)
-    grads = np.einsum("nba,nax->nbx", dvalues, space.lam_grads[cells])
+    grads = dvalues @ space.lam_grads[cells]
     return values, grads, space.cell_dofs[cells]
 
 

@@ -1,4 +1,11 @@
-"""Legacy ASCII VTK writers for the active mesh and the discrete surface."""
+"""Legacy ASCII VTK writers for the active mesh and the discrete surface.
+
+Each block of a file (the points, the cells, the cell types and each point
+field) is one `%` format: the row format, such as "%.12g %.12g %.12g\n",
+repeated once per row and applied to the array's values as Python numbers.
+`"%.12g" % x` is the same text as `f"{x:.12g}"` for every float, -0, nan,
+inf and subnormals included, and `"%d" % i` the same as `str(i)`.
+"""
 
 from __future__ import annotations
 
@@ -28,33 +35,33 @@ def write_unstructured_grid(path, points, cells, cell_type, point_data=None):
     points = np.asarray(points, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     n_cells, nodes_per_cell = cells.shape
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "surfdarcy output",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(points)} double",
+    text = [
+        "# vtk DataFile Version 3.0\nsurfdarcy output\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n",
+        _block(points, "%.12g"),
+        f"CELLS {n_cells} {n_cells * (nodes_per_cell + 1)}\n",
+        _block(cells, "%d", prefix=f"{nodes_per_cell} "),
+        f"CELL_TYPES {n_cells}\n",
+        f"{cell_type}\n" * n_cells,
     ]
-    lines.extend(" ".join(f"{c:.12g}" for c in p) for p in points)
-    lines.append(f"CELLS {n_cells} {n_cells * (nodes_per_cell + 1)}")
-    lines.extend(
-        f"{nodes_per_cell} " + " ".join(str(v) for v in row) for row in cells
-    )
-    lines.append(f"CELL_TYPES {n_cells}")
-    lines.extend([str(cell_type)] * n_cells)
     if point_data:
-        lines.append(f"POINT_DATA {len(points)}")
+        text.append(f"POINT_DATA {len(points)}\n")
         for name, values in point_data.items():
             values = np.asarray(values, dtype=float)
             if values.ndim == 1:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(f"{v:.12g}" for v in values)
+                text.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             else:
-                lines.append(f"VECTORS {name} double")
-                lines.extend(" ".join(f"{c:.12g}" for c in v) for v in values)
+                text.append(f"VECTORS {name} double\n")
+            text.append(_block(values, "%.12g"))
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("".join(text))
+
+
+def _block(values, fmt, prefix=""):
+    """The rows of a 1-D or 2-D array as text lines, formatted in one `%`."""
+    width = 1 if values.ndim == 1 else values.shape[1]
+    row = prefix + " ".join([fmt] * width) + "\n"
+    return (row * len(values)) % tuple(values.ravel().tolist())
 
 
 def export_active_mesh(path, active: ActiveMesh, point_data=None):
@@ -76,12 +83,14 @@ def export_surface(path, ds: DiscreteSurface, point_data=None):
     """Discrete surface cells (linear or quadratic triangles) with nodal data.
 
     `point_data` maps names to arrays over the flattened cell nodes, in the
-    order returned by `surface_node_points`.
+    order returned by `surface_node_points`. The oriented normal at the nodes
+    is written after them as the vector field `normal`.
     """
-    nodes, _ = surface_node_points(ds)
+    nodes, normals = surface_node_points(ds)
     nc, m, _ = nodes.shape
     cells = np.arange(nc * m).reshape(nc, m)
     cell_type = _VTK_TRIANGLE if ds.k_g == 1 else _VTK_QUADRATIC_TRIANGLE
+    point_data = {**(point_data or {}), "normal": normals.reshape(-1, 3)}
     write_unstructured_grid(
         path, nodes.reshape(-1, 3), cells, cell_type, point_data=point_data
     )

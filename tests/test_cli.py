@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surfdarcy.solver as solver_mod
+import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
 
 
@@ -110,6 +111,19 @@ def test_converge_exports_finest_level_without_solving_again(tmp_path, splu_call
     assert names == sorted(p.name for p in exp.iterdir())
     for name in names:
         assert (conv / name).read_bytes() == (exp / name).read_bytes()
+
+
+def test_converge_export_samples_the_surface_nodes_once(tmp_path, monkeypatch):
+    calls = []
+    sample_cells = vtk_io_mod.sample_cells
+    monkeypatch.setattr(
+        vtk_io_mod,
+        "sample_cells",
+        lambda *a, **kw: calls.append(1) or sample_cells(*a, **kw),
+    )
+    argv = ["converge", "--case", "1", "--levels", "1", "--vtk-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_check_needs_two_levels(capsys, splu_calls):
