@@ -20,7 +20,7 @@ from .cut_surface import (
     with_quadrature,
 )
 from .fe_space import FESpace, build_space, interpolate
-from .geometry import ImplicitSurface, SurfaceFrame, Torus, Translated
+from .geometry import ImplicitSurface, Torus, Translated
 from .mesh import (
     ActiveMesh,
     BackgroundMesh,

@@ -13,6 +13,11 @@ normal-gradient penalty, with the bulk normal taken from the gradient of the
 per-tet level-set interpolant of matching geometric order.  The zero-mean
 pressure constraint is appended as a single symmetric Lagrange multiplier
 row/column.
+
+Every element integral is one call of the weighted-Gram kernel `_gram`,
+sum_q w_q a_i(q) b_j(q) per cell, taken as the batched matmul (w a)^T b: mass
+and load terms sum over the quadrature points, and gradient-gradient terms
+add one such sum per component (`_grad_gram`).
 """
 
 from __future__ import annotations
@@ -107,6 +112,21 @@ def _cell_tab(space: FESpace, ds: DiscreteSurface):
     )
 
 
+def _gram(w, a, b):
+    """The weighted-Gram kernel: sum_q w_q a_i(q) b_j(q) for every cell.
+
+    w: (..., q) weights, a: (..., q, i) and b: (..., q, j) -> (..., i, j).
+    """
+    return np.swapaxes(w[..., None] * a, -1, -2) @ b
+
+
+def _grad_gram(w, grads):
+    """sum_q w_q grad(v_i)(q) . grad(v_j)(q) of (..., m) weights and
+    (..., m, nb, 3) gradients, one `_gram` per gradient component (no
+    reordered copy of the gradients)."""
+    return sum(_gram(w, grads[..., x], grads[..., x]) for x in range(3))
+
+
 def _scatter(data, rows_dofs, cols_dofs, shape):
     rows = np.broadcast_to(rows_dofs[:, :, None], data.shape)
     cols = np.broadcast_to(cols_dofs[:, None, :], data.shape)
@@ -124,9 +144,8 @@ def _scatter_vector(contrib, dofs, n):
 def assemble_surface_mass(space: FESpace, ds: DiscreteSurface) -> sp.csr_matrix:
     """(w, v) over the discrete surface."""
     vals, _, dofs = _cell_tab(space, ds)
-    data = np.einsum("cm,cmi,cmj->cij", ds.qp_weights, vals, vals)
     n = space.global_dofs
-    return _scatter(data, dofs, dofs, (n, n))
+    return _scatter(_gram(ds.qp_weights, vals, vals), dofs, dofs, (n, n))
 
 
 def assemble_surface_stiffness(
@@ -137,20 +156,19 @@ def assemble_surface_stiffness(
     _, grads, dofs = _cell_tab(space, ds)
     if tangential:
         normals = ds.qp_normals
-        ndot = np.einsum("cmx,cmbx->cmb", normals, grads)
-        grads = grads - ndot[..., None] * normals[:, :, None, :]
-    data = np.einsum("cm,cmix,cmjx->cij", ds.qp_weights, grads, grads)
+        grads = grads - (grads @ normals[..., None]) * normals[:, :, None, :]
     n = space.global_dofs
-    return _scatter(data, dofs, dofs, (n, n))
+    return _scatter(_grad_gram(ds.qp_weights, grads), dofs, dofs, (n, n))
 
 
 def surface_load_vector(space: FESpace, ds: DiscreteSurface, values=None) -> np.ndarray:
     """b_j = integral of (values *) basis_j over the discrete surface."""
     vals, _, dofs = _cell_tab(space, ds)
     w = ds.qp_weights
-    if values is not None:
-        w = w * np.asarray(values, dtype=float).reshape(w.shape)
-    return _scatter_vector(np.einsum("cm,cmj->cj", w, vals), dofs, space.global_dofs)
+    if values is None:
+        values = np.ones(w.shape)
+    values = np.asarray(values, dtype=float).reshape(w.shape + (1,))
+    return _scatter_vector(_gram(w, vals, values)[..., 0], dofs, space.global_dofs)
 
 
 def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
@@ -161,8 +179,8 @@ def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
     shape_vals = (
         shapes.tet_p1_values(bary) if space.order == 1 else shapes.tet_p2_values(bary)
     )  # (m, nb)
-    vols = _tet_volumes(active)
-    data = np.einsum("m,t,mi,mj->tij", w, vols, shape_vals, shape_vals)
+    # the reference-tet mass matrix, scaled by each tet's volume
+    data = _tet_volumes(active)[:, None, None] * _gram(w, shape_vals, shape_vals)
     n = space.global_dofs
     return _scatter(data, space.cell_dofs, space.cell_dofs, (n, n))
 
@@ -204,15 +222,15 @@ def assemble_stabilization(
     dvals = (
         shapes.tet_p1_dvalues(bary) if space.order == 1 else shapes.tet_p2_dvalues(bary)
     )  # (m, nb, 4)
-    vols = _tet_volumes(active)
-    grads = np.einsum("mba,tax->tmbx", dvals, space.lam_grads)  # (t, m, nb, 3)
+    weights = _tet_volumes(active)[:, None] * w  # (t, m)
+    grads = dvals @ active.lam_grads[:, None]  # (t, m, nb, 3)
 
     if kind == Stabilization.FULL_GRADIENT:
-        data = np.einsum("m,t,tmbx,tmcx->tbc", w, vols, grads, grads)
+        data = _grad_gram(weights, grads)
     elif kind == Stabilization.NORMAL_GRADIENT:
         normals = _bulk_normals(active, surface, k_g, bary)
-        ndot = np.einsum("tmx,tmbx->tmb", normals, grads)
-        data = np.einsum("m,t,tmb,tmc->tbc", w, vols, ndot, ndot)
+        ndot = (grads @ normals[..., None])[..., 0]  # (t, m, nb)
+        data = _gram(weights, ndot, ndot)
     else:
         raise AssemblyError(f"unknown stabilization kind {kind!r}")
 
@@ -225,6 +243,7 @@ def _bulk_normals(active, surface, k_g, bary):
     """Normal field of the per-tet degree-k_g level-set interpolant at the
     bulk quadrature points: (t, m, 3) unit vectors."""
     phi = TetInterpolant.of_field(active.tet_vertices[:, None], k_g, surface.signed_distance)
+    phi.lam_grads = active.lam_grads[:, None]
     return phi.normal_at(bary, surface.surface_normal)
 
 
@@ -261,20 +280,16 @@ def assemble(
     pvals, pgrads, pdofs = _cell_tab(pspace, ds)
     uvals, _, udofs = (pvals, pgrads, pdofs) if vspace is pspace else _cell_tab(vspace, ds)
 
-    mass_u = _scatter(
-        np.einsum("cm,cmi,cmj->cij", w, uvals, uvals), udofs, udofs, (n_u, n_u)
-    )
-    stiff_p = _scatter(
-        np.einsum("cm,cmix,cmjx->cij", w, pgrads, pgrads), pdofs, pdofs, (n_p, n_p)
+    nc, m = w.shape
+    ones = np.ones((nc, m, 1))
+    mass_u = _scatter(_gram(w, uvals, uvals), udofs, udofs, (n_u, n_u))
+    stiff_p = _scatter(_grad_gram(w, pgrads), pdofs, pdofs, (n_p, n_p))
+    # (u_i, d_c p_j) for the three components c at once: (nc, nb_u, nb_p, 3)
+    coupling = _gram(w, uvals, pgrads.reshape(nc, m, -1)).reshape(
+        nc, uvals.shape[-1], pvals.shape[-1], 3
     )
     grad_blocks = [
-        _scatter(
-            np.einsum("cm,cmi,cmj->cij", w, uvals, pgrads[..., c]),
-            udofs,
-            pdofs,
-            (n_u, n_p),
-        )
-        for c in range(3)
+        _scatter(coupling[..., c], udofs, pdofs, (n_u, n_p)) for c in range(3)
     ]
 
     stab_u = assemble_stabilization(
@@ -284,19 +299,20 @@ def assemble(
         pspace, active, surface, params.stab, params.tau, params.alpha, active.h, ds.k_g
     )
 
-    constraint = _scatter_vector(np.einsum("cm,cmj->cj", w, pvals), pdofs, n_p)
+    constraint = _scatter_vector(_gram(w, pvals, ones)[..., 0], pdofs, n_p)
 
-    # right-hand side
-    f_vals = surface.extend_scalar(f, ds.points).reshape(w.shape)
-    g_vals = surface.extend_vector(g, ds.points).reshape(w.shape + (3,))
+    # right-hand side: f and g pulled back from one projection of the points
+    projected = surface.closest_point(ds.points)
+    f_vals = np.asarray(f(projected), dtype=float).reshape(nc, m, 1)
+    g_vals = np.asarray(g(projected), dtype=float).reshape(nc, m, 3)
     rhs = np.zeros(layout.total)
+    contrib_u = 0.5 * _gram(w, uvals, g_vals)  # (nc, nb_u, 3)
     for c in range(3):
-        contrib = 0.5 * np.einsum("cm,cmj->cj", w * g_vals[..., c], uvals)
-        rhs[layout.u_slice(c)] = _scatter_vector(contrib, udofs, n_u)
-    contrib_p = np.einsum("cm,cmj->cj", w * f_vals, pvals) + 0.5 * np.einsum(
-        "cm,cmx,cmjx->cj", w, g_vals, pgrads
-    )
-    rhs[layout.p_slice] = _scatter_vector(contrib_p, pdofs, n_p)
+        rhs[layout.u_slice(c)] = _scatter_vector(contrib_u[..., c], udofs, n_u)
+    load_p = f_vals * pvals + 0.5 * (pgrads @ g_vals[..., None])[..., 0]  # f q + g.grad q / 2
+    rhs[layout.p_slice] = _scatter_vector(_gram(w, load_p, ones)[..., 0], pdofs, n_p)
+    # released before the blocks are stacked, the largest allocation here
+    del uvals, pvals, pgrads, coupling, load_p
 
     diag_u = 0.5 * mass_u + stab_u
     col = sp.csr_matrix(constraint[:, None])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -162,7 +163,9 @@ class TetInterpolant:
     then the TET_EDGES midpoints).  The evaluators at barycentric
     coordinates broadcast the batch shape against the points' leading shape:
     a (t, 1) batch evaluated at (m, 4) or (t, m, 4) coordinates gives (t, m).
-    `value(x)` and `gradient(x)` take physical points.
+    `value(x)` and `gradient(x)` take physical points.  The gradients of the
+    barycentric coordinates, `lam_grads` (..., 4, 3), are computed on first
+    use; an interpolant on active-mesh tets takes the mesh's own.
     """
 
     def __init__(self, tet_vertices, order: int, values):
@@ -174,7 +177,10 @@ class TetInterpolant:
         n_nodes = 4 if order == 1 else 10
         if self.values.shape[-1:] != (n_nodes,):
             raise ValueError(f"expected {n_nodes} nodal values for order {order}")
-        self.lam_grads = shapes.barycentric_gradients(self.verts)
+
+    @cached_property
+    def lam_grads(self):
+        return shapes.barycentric_gradients(self.verts)
 
     @classmethod
     def of_field(cls, tet_vertices, order, field):
@@ -193,10 +199,10 @@ class TetInterpolant:
     def dvalue_at(self, lam):
         """Derivatives with respect to the 4 barycentric coords: (..., 4)."""
         dbasis = shapes.tet_p1_dvalues(lam) if self.order == 1 else shapes.tet_p2_dvalues(lam)
-        return np.einsum("...ka,...k->...a", dbasis, self.values)
+        return (self.values[..., None, :] @ dbasis)[..., 0, :]
 
     def gradient_at(self, lam):
-        return np.einsum("...a,...ax->...x", self.dvalue_at(lam), self.lam_grads)
+        return (self.dvalue_at(lam)[..., None, :] @ self.lam_grads)[..., 0, :]
 
     def normal_at(self, lam, exact_normal):
         """Unit normal grad(phi_h)/|grad(phi_h)|, (..., 3).
@@ -208,7 +214,7 @@ class TetInterpolant:
         norms = np.linalg.norm(grad, axis=-1)
         degenerate = norms <= 1e-10
         if np.any(degenerate):
-            points = np.einsum("...a,...ax->...x", lam, self.verts)
+            points = (lam[..., None, :] @ self.verts)[..., 0, :]
             grad[degenerate] = np.atleast_2d(exact_normal(points[degenerate]))
             norms = np.linalg.norm(grad, axis=-1)
         return grad / norms[..., None]
@@ -270,7 +276,7 @@ def _march_batch(tet_verts, phi):
             [_edge_root_lambda(phis, lone, others[:, m]) for m in range(3)], axis=1
         )  # (k, 3, 4)
         verts = tet_verts[idx]
-        x = np.einsum("knl,klx->knx", lam, verts)
+        x = lam @ verts
         raw_n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
         to_lone = verts[np.arange(len(idx)), lone] - x.mean(axis=1)
         side = np.einsum("kx,kx->k", raw_n, to_lone)
@@ -296,7 +302,7 @@ def _march_batch(tet_verts, phi):
             axis=1,
         )  # (k, 4, 4) quad corners in cyclic order
         verts = tet_verts[idx]
-        xq = np.einsum("knl,klx->knx", q, verts)
+        xq = q @ verts
         d02 = np.linalg.norm(xq[:, 0] - xq[:, 2], axis=1)
         d13 = np.linalg.norm(xq[:, 1] - xq[:, 3], axis=1)
         first = d02 <= d13
@@ -306,7 +312,7 @@ def _march_batch(tet_verts, phi):
             verts[np.arange(len(idx)), c] + verts[np.arange(len(idx)), d]
         ) - 0.5 * (verts[np.arange(len(idx)), a] + verts[np.arange(len(idx)), b])
         for local, tri in enumerate((tri1, tri2)):
-            x = np.einsum("knl,klx->knx", tri, verts)
+            x = tri @ verts
             raw_n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
             flip = np.einsum("kx,kx->k", raw_n, outward) < 0.0
             out_tet.append(idx)
@@ -342,7 +348,7 @@ def marching_tet(tet_vertices, phi):
     if pos.all() or not pos.any():
         return []
     _, lam, _ = _march_batch(verts, values)
-    return [np.einsum("nl,lx->nx", lam[c], verts[0]) for c in range(len(lam))]
+    return [lam[c] @ verts[0] for c in range(len(lam))]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +423,7 @@ def build_surface(
     phi = TetInterpolant.of_field(active.tet_vertices, k_g, surface.signed_distance)
     tet_verts = phi.verts  # (na, 4, 3)
     cell_active, lam3, flips = _march_batch(tet_verts, phi.values[:, :4])
-    nodes3 = np.einsum("cnl,clx->cnx", lam3, tet_verts[cell_active])
+    nodes3 = lam3 @ tet_verts[cell_active]
 
     area = 0.5 * np.linalg.norm(
         np.cross(nodes3[:, 1] - nodes3[:, 0], nodes3[:, 2] - nodes3[:, 0]), axis=1
@@ -439,6 +445,7 @@ def build_surface(
         cell_phi = TetInterpolant(
             tet_verts[cell_active, None], 2, phi.values[cell_active, None]
         )
+        cell_phi.lam_grads = active.lam_grads[cell_active, None]
         node_lam, nodes = _lift_cells(cell_phi, lam3, active.h, surface.surface_normal)
 
     return DiscreteSurface(
@@ -474,13 +481,13 @@ def _lift_cells(phi, lam3, h, exact_normal):
         axis=1,
     )  # (nc, 6, 4)
     d = phi.normal_at(lam6, exact_normal)  # (nc, 6, 3)
-    dlam = np.einsum("...ax,...x->...a", phi.lam_grads, d)
+    dlam = (phi.lam_grads @ d[..., None])[..., 0]
     t, resolved = _line_roots(phi, lam6, dlam, h)
     unresolved = int((~resolved).sum())
     if unresolved:
         log.warning("quadratic lift: %d nodes kept at their base position", unresolved)
     lam6 = lam6 + t[..., None] * dlam
-    lifted = np.einsum("...l,...lx->...x", lam6, phi.verts)
+    lifted = (lam6[..., None, :] @ phi.verts)[..., 0, :]
     return lam6, lifted
 
 
@@ -504,10 +511,8 @@ def _attach_quadrature(k_g, nodes, node_lambdas, flips, degree, bary=None):
     dN_dxi = dvalues @ dlam_dxi  # (m, nn)
     dN_deta = dvalues @ dlam_deta
 
-    points = np.einsum("mk,ckx->cmx", values, nodes)
-    t_xi = np.einsum("mk,ckx->cmx", dN_dxi, nodes)
-    t_eta = np.einsum("mk,ckx->cmx", dN_deta, nodes)
-    cross = np.cross(t_xi, t_eta)
+    points = values @ nodes  # (nc, m, 3)
+    cross = np.cross(dN_dxi @ nodes, dN_deta @ nodes)
     norm = np.linalg.norm(cross, axis=2)
     weights = 0.5 * w[None, :] * norm
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -517,7 +522,7 @@ def _attach_quadrature(k_g, nodes, node_lambdas, flips, degree, bary=None):
     normals *= sign[:, None, None]
     return {
         "qp_points": points,
-        "qp_lambdas": np.einsum("mk,ckl->cml", values, node_lambdas),
+        "qp_lambdas": values @ node_lambdas,
         "qp_weights": weights,
         "qp_normals": normals,
     }

@@ -8,8 +8,8 @@ inputs yields identical DOF maps.
 Basis functions are tabulated at points given by their active tet and their
 barycentric coordinates in it, which the discrete surface already holds for
 its quadrature points and nodes; nothing here locates a physical point.  The
-gradients of the barycentric coordinates are computed once per tet, when the
-space is built.
+gradients of the barycentric coordinates are those of the active mesh, which
+computes them once for all spaces built on it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class FESpace:
     global_dofs: int
     cell_dofs: np.ndarray  # (n_active, 4 or 10)
     dof_coords: np.ndarray  # (global_dofs, 3)
-    lam_grads: np.ndarray  # (n_active, 4, 3) gradients of the barycentric coords
 
     @property
     def local_dofs(self):
@@ -54,19 +53,20 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
     coords = [active.parent.vertices[verts_used]]
     ndof = len(verts_used)
     if order == 2:
-        pairs = np.sort(
-            np.stack([tets[:, [a for a, _ in shapes.TET_EDGES]],
-                      tets[:, [b for _, b in shapes.TET_EDGES]]], axis=2),
-            axis=2,
-        ).reshape(-1, 2)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        edge_dofs = ndof + inverse.reshape(len(tets), 6)
-        cell_dofs = np.concatenate([cell_dofs, edge_dofs], axis=1)
+        # an edge's key a * n_vertices + b of its sorted endpoints a < b sorts
+        # the edges by their endpoint pair
+        n_vertices = len(active.parent.vertices)
+        ends = tets.astype(np.int64)
+        first = ends[:, [a for a, _ in shapes.TET_EDGES]]
+        second = ends[:, [b for _, b in shapes.TET_EDGES]]
+        keys = np.minimum(first, second) * n_vertices + np.maximum(first, second)
+        edges, inverse = np.unique(keys, return_inverse=True)
+        cell_dofs = np.concatenate([cell_dofs, ndof + inverse.reshape(len(tets), 6)], axis=1)
         coords.append(
             0.5
             * (
-                active.parent.vertices[edges[:, 0]]
-                + active.parent.vertices[edges[:, 1]]
+                active.parent.vertices[edges // n_vertices]
+                + active.parent.vertices[edges % n_vertices]
             )
         )
         ndof += len(edges)
@@ -76,7 +76,6 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
         global_dofs=ndof,
         cell_dofs=cell_dofs.astype(np.int64),
         dof_coords=np.concatenate(coords, axis=0),
-        lam_grads=shapes.barycentric_gradients(active.tet_vertices),
     )
 
 
@@ -96,7 +95,7 @@ def tabulate(space: FESpace, cell_positions, lambdas):
     else:
         values = shapes.tet_p2_values(lam)
         dvalues = shapes.tet_p2_dvalues(lam)
-    grads = dvalues @ space.lam_grads[cells]
+    grads = dvalues @ space.active_mesh.lam_grads[cells]
     return values, grads, space.cell_dofs[cells]
 
 

@@ -1,6 +1,6 @@
-"""Exact implicit-surface geometry: signed distance, normals, curvature,
-closest-point projection, and extension of surface fields into the
-surrounding tubular neighborhood.
+"""Exact implicit-surface geometry: signed distance, normals, closest-point
+projection, and extension of surface fields into the surrounding tubular
+neighborhood.
 
 All operations accept a single point of shape (3,) or a batch of shape
 (n, 3) and return correspondingly shaped results.  Everything is a pure
@@ -17,7 +17,6 @@ __all__ = [
     "ImplicitSurface",
     "Torus",
     "Translated",
-    "SurfaceFrame",
     "GeometryError",
     "fd_gradient",
     "fd_jacobian",
@@ -28,17 +27,6 @@ FD_STEP = 1e-5
 
 class GeometryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Local first/second-order data: unit normal, tangential projector
-    P = I - n (x) n, and the Hessian of the signed distance."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    projector: np.ndarray
-    hessian: np.ndarray
 
 
 def _as_points(x):
@@ -69,9 +57,6 @@ class ImplicitSurface:
     def _gradient(self, pts):
         raise NotImplementedError
 
-    def _hessian(self, pts):
-        raise NotImplementedError
-
     def _closest(self, pts):
         raise NotImplementedError
 
@@ -97,23 +82,9 @@ class ImplicitSurface:
         pts, single = _as_points(x)
         return _squeeze(self._closest(pts), single)
 
-    def frame_at(self, x):
-        pts, single = _as_points(x)
-        n = self.surface_normal(pts)
-        n2 = np.atleast_2d(n)
-        proj = np.eye(3)[None, :, :] - n2[:, :, None] * n2[:, None, :]
-        hess = self._hessian(pts)
-        if single:
-            return SurfaceFrame(pts[0], n2[0], proj[0], hess[0])
-        return [SurfaceFrame(p, nn, pp, hh) for p, nn, pp, hh in zip(pts, n2, proj, hess)]
-
-    def extend_scalar(self, f, x):
-        """Pull-back extension f(p(x)), constant along normal lines."""
-        pts, single = _as_points(x)
-        vals = np.asarray(f(self.closest_point(pts)), dtype=float)
-        return _squeeze(vals, single)
-
     def extend_vector(self, f, x):
+        """Pull-back extension f(p(x)) of a scalar or vector field, constant
+        along normal lines."""
         pts, single = _as_points(x)
         vals = np.asarray(f(self.closest_point(pts)), dtype=float)
         return _squeeze(vals, single)
@@ -179,23 +150,6 @@ class Torus(ImplicitSurface):
         ring[:, 1] = self.R * pts[:, 1] / s
         return ring + (self.r / q)[:, None] * (pts - ring)
 
-    def _hessian(self, pts):
-        s, q = self._ring_frame(pts)
-        if np.any(s <= 1e-14) or np.any(q <= 1e-14):
-            raise GeometryError("curvature degenerate on the torus axis/core")
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        a = (s - self.R) / (q * s)
-        b = (z**2 * s - q**2 * (s - self.R)) / (q**3 * s**3)
-        c = -z * (s - self.R) / (s * q**3)
-        hess = np.empty((len(pts), 3, 3))
-        hess[:, 0, 0] = a + x * x * b
-        hess[:, 1, 1] = a + y * y * b
-        hess[:, 2, 2] = (s - self.R) ** 2 / q**3
-        hess[:, 0, 1] = hess[:, 1, 0] = x * y * b
-        hess[:, 0, 2] = hess[:, 2, 0] = x * c
-        hess[:, 1, 2] = hess[:, 2, 1] = y * c
-        return hess
-
 
 @dataclass(frozen=True)
 class Translated(ImplicitSurface):
@@ -220,9 +174,6 @@ class Translated(ImplicitSurface):
 
     def _gradient(self, pts):
         return self.inner._gradient(self._shift(pts))
-
-    def _hessian(self, pts):
-        return self.inner._hessian(self._shift(pts))
 
     def _closest(self, pts):
         return self.inner._closest(self._shift(pts)) + np.asarray(self.offset, dtype=float)

@@ -11,9 +11,12 @@ discrete surface is covered by active cells by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
+
+from .shapes import barycentric_gradients
 
 __all__ = [
     "BackgroundMesh",
@@ -96,6 +99,13 @@ class ActiveMesh:
     def tet_vertices(self):
         """(n_active, 4, 3) coordinates of the active tets."""
         return self.parent.vertices[self.tets]
+
+    @cached_property
+    def lam_grads(self):
+        """(n_active, 4, 3) gradients of the barycentric coordinates of the
+        active tets, computed once per active mesh for all its spaces and
+        level-set interpolants."""
+        return barycentric_gradients(self.tet_vertices)
 
     def __len__(self):
         return len(self.active_tets)

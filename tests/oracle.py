@@ -179,3 +179,62 @@ def oracle_assemble(vspace, pspace, ds, active, surface, data, kind, tau, alpha)
                         for j in range(len(dofs)):
                             mat[off + dofs[i], off + dofs[j]] += local[i, j]
     return mat, rhs
+
+
+def triangle_shape(order, l0, xi, eta):
+    """Values and (xi, eta)-derivatives of the P1/P2 triangle basis at the
+    reference point with barycentrics (l0, xi, eta), taken as given (a
+    tabulated rule's sum to 1 only up to round-off): vertices (0,0), (1,0),
+    (0,1), then for P2 the midpoints of the edges (0, 1), (1, 2), (2, 0)."""
+    if order == 1:
+        return (
+            np.array([l0, xi, eta]),
+            np.array([-1.0, 1.0, 0.0]),
+            np.array([-1.0, 0.0, 1.0]),
+        )
+    values = np.array(
+        [
+            l0 * (2.0 * l0 - 1.0),
+            xi * (2.0 * xi - 1.0),
+            eta * (2.0 * eta - 1.0),
+            4.0 * l0 * xi,
+            4.0 * xi * eta,
+            4.0 * eta * l0,
+        ]
+    )
+    d_xi = np.array(
+        [1.0 - 4.0 * l0, 4.0 * xi - 1.0, 0.0, 4.0 * (l0 - xi), 4.0 * eta, -4.0 * eta]
+    )
+    d_eta = np.array(
+        [1.0 - 4.0 * l0, 0.0, 4.0 * eta - 1.0, -4.0 * xi, 4.0 * xi, 4.0 * (l0 - eta)]
+    )
+    return values, d_xi, d_eta
+
+
+def cell_quadrature(order, nodes, node_lambdas, flips, bary, weights):
+    """Quadrature points, barycentrics in the parent tet, weights and oriented
+    unit normals of the surface cell maps, one cell and one point at a time.
+
+    The rule is given on the reference triangle by barycentric points (m, 3)
+    and weights summing to 1; a cell's weights are the rule's times the
+    reference area 1/2 times the map's area element |x_xi x x_eta|.
+    """
+    nc, m = len(nodes), len(bary)
+    points = np.zeros((nc, m, 3))
+    lambdas = np.zeros((nc, m, 4))
+    cell_weights = np.zeros((nc, m))
+    normals = np.zeros((nc, m, 3))
+    for c in range(nc):
+        for q in range(m):
+            values, d_xi, d_eta = triangle_shape(order, *bary[q])
+            for k in range(len(values)):
+                points[c, q] += values[k] * nodes[c][k]
+                lambdas[c, q] += values[k] * node_lambdas[c][k]
+            t_xi = sum(d_xi[k] * nodes[c][k] for k in range(len(values)))
+            t_eta = sum(d_eta[k] * nodes[c][k] for k in range(len(values)))
+            cross = np.cross(t_xi, t_eta)
+            jac = np.linalg.norm(cross)
+            cell_weights[c, q] = 0.5 * weights[q] * jac
+            if jac > 0.0:
+                normals[c, q] = (-1.0 if flips[c] else 1.0) * cross / jac
+    return points, lambdas, cell_weights, normals

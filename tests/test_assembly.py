@@ -40,9 +40,6 @@ class PlaneSurface(ImplicitSurface):
         out[:, 2] = 1.0
         return out
 
-    def _hessian(self, pts):
-        return np.zeros((len(pts), 3, 3))
-
     def _closest(self, pts):
         out = pts.copy()
         out[:, 2] = self.z0
@@ -68,13 +65,6 @@ class SphereSurface(ImplicitSurface):
     def _closest(self, pts):
         d = pts - self.center
         return self.center + self.radius * d / np.linalg.norm(d, axis=1)[:, None]
-
-    def _hessian(self, pts):
-        d = pts - self.center
-        r = np.linalg.norm(d, axis=1)
-        n = d / r[:, None]
-        eye = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
-        return (eye - n[:, :, None] * n[:, None, :]) / r[:, None, None]
 
 
 def _const_data(f0=2.5, g0=(0.3, -1.1, 0.7)):

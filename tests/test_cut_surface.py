@@ -5,6 +5,7 @@ import pytest
 from surfdarcy.cut_surface import (
     CutSurfaceError,
     TetInterpolant,
+    _attach_quadrature,
     build_surface,
     lift_point,
     marching_tet,
@@ -13,6 +14,9 @@ from surfdarcy.cut_surface import (
 )
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.quadrature import triangle_rule
+
+from oracle import cell_quadrature
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 TORUS_AREA = 4 * np.pi**2 * 1.0 * 0.5
@@ -336,3 +340,34 @@ def test_determinism(torus, active_l1):
     npt.assert_array_equal(a.qp_points, b.qp_points)
     npt.assert_array_equal(a.qp_weights, b.qp_weights)
     npt.assert_array_equal(a.cell_active, b.cell_active)
+
+
+@pytest.mark.parametrize("k_g", [1, 2])
+def test_quadrature_maps_match_per_cell_loop(torus, k_g):
+    """Points, barycentrics, weights and normals of the cell maps against a
+    loop over cells and reference points with the oracle's own shapes.
+
+    The weights, and the normals weighted by them, are compared in units of
+    the mean weight: the unit normal of a small curved cell is fixed only up
+    to round-off over the cell's size (3e-13 on the smallest cells here, where
+    the P2 tangents are sums of O(1) terms that cancel to O(cell size)).
+    """
+    ds = build_surface(_active(torus, 0), torus, k_g=k_g, quad_degree=4)
+    for degree in (4, 6):
+        bary, w = triangle_rule(degree)
+        fields = _attach_quadrature(k_g, ds.nodes, ds.node_lambdas, ds.flips, degree)
+        points, lambdas, weights, normals = cell_quadrature(
+            k_g, ds.nodes, ds.node_lambdas, ds.flips, bary, w
+        )
+        unit = weights.mean()
+        for got, ref in (
+            (fields["qp_points"], points),
+            (fields["qp_lambdas"], lambdas),
+            (fields["qp_weights"] / unit, weights / unit),
+            (
+                fields["qp_weights"][..., None] * fields["qp_normals"] / unit,
+                weights[..., None] * normals / unit,
+            ),
+        ):
+            npt.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        npt.assert_allclose(np.linalg.norm(fields["qp_normals"], axis=-1), 1.0, atol=1e-14)

@@ -7,6 +7,7 @@ from surfdarcy.cut_surface import build_surface, with_quadrature
 from surfdarcy.fe_space import FESpaceError, build_space, interpolate, tabulate
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.shapes import TET_EDGES
 from surfdarcy.verification import ManufacturedSolution
 
 
@@ -41,6 +42,20 @@ class TestBuildSpace:
         b = build_space(active, 2)
         npt.assert_array_equal(a.cell_dofs, b.cell_dofs)
         npt.assert_array_equal(a.dof_coords, b.dof_coords)
+
+    def test_p2_edge_dofs_ordered_by_sorted_endpoints(self, active):
+        space = build_space(active, 2)
+        n_vertex_dofs = len(np.unique(active.tets))
+        pair_of = {}
+        for tet, dofs in zip(active.tets, space.cell_dofs):
+            for k, (a, b) in enumerate(TET_EDGES):
+                pair = (min(tet[a], tet[b]), max(tet[a], tet[b]))
+                assert pair_of.setdefault(int(dofs[4 + k]), pair) == pair
+        pairs = [pair_of[d] for d in range(n_vertex_dofs, space.global_dofs)]
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
+        vertices = active.parent.vertices
+        midpoints = [0.5 * (vertices[a] + vertices[b]) for a, b in pairs]
+        npt.assert_array_equal(space.dof_coords[n_vertex_dofs:], midpoints)
 
     def test_invalid_order(self, active):
         with pytest.raises(FESpaceError):

@@ -7,7 +7,6 @@ from surfdarcy.geometry import (
     Torus,
     Translated,
     fd_gradient,
-    fd_jacobian,
 )
 
 
@@ -115,51 +114,15 @@ class TestClosestPoint:
             torus.closest_point((1.0, 0.0, 0.0))
 
 
-class TestFrame:
-    def test_projector_at_outer_equator(self, torus):
-        frame = torus.frame_at((1.5, 0, 0))
-        npt.assert_allclose(frame.projector, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
-
-    def test_projector_identities(self, torus):
-        rng = np.random.default_rng(12)
-        pts = _random_tube_points(torus, 100, rng)
-        for frame in torus.frame_at(pts):
-            npt.assert_allclose(frame.projector @ frame.projector, frame.projector, atol=1e-12)
-            npt.assert_allclose(frame.projector @ frame.normal, 0.0, atol=1e-12)
-
-    def test_hessian_eigenvalues_at_outer_equator(self, torus):
-        # principal curvatures 1/r = 2 and cos(theta)/(R + r cos(theta)) = 2/3,
-        # plus the zero eigenvalue along the normal
-        frame = torus.frame_at((1.5, 0, 0))
-        npt.assert_allclose(
-            np.sort(np.linalg.eigvalsh(frame.hessian)), [0.0, 2.0 / 3.0, 2.0], atol=1e-12
-        )
-
-    def test_hessian_symmetric_and_matches_fd(self, torus):
-        rng = np.random.default_rng(13)
-        pts = _random_tube_points(torus, 30, rng)
-        frames = torus.frame_at(pts)
-        fd_hess = fd_jacobian(torus._gradient, pts)
-        for frame, fd in zip(frames, fd_hess):
-            npt.assert_allclose(frame.hessian - frame.hessian.T, 0.0, atol=1e-8)
-            npt.assert_allclose(frame.hessian, fd, atol=1e-6)
-
-    def test_hessian_annihilates_normal_on_surface(self, torus):
-        rng = np.random.default_rng(14)
-        pts = torus.closest_point(_random_tube_points(torus, 50, rng))
-        for frame in torus.frame_at(pts):
-            npt.assert_allclose(frame.hessian @ frame.normal, 0.0, atol=1e-8)
-
-
 class TestExtension:
     def test_extends_z_coordinate(self, torus):
-        val = torus.extend_scalar(lambda p: p[:, 2], (1, 0, 0.2))
+        val = torus.extend_vector(lambda p: p[:, 2], (1, 0, 0.2))
         assert val == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_field(self, torus):
         rng = np.random.default_rng(15)
         pts = _random_tube_points(torus, 40, rng)
-        npt.assert_allclose(torus.extend_scalar(lambda p: np.full(len(p), 3.25), pts), 3.25)
+        npt.assert_allclose(torus.extend_vector(lambda p: np.full(len(p), 3.25), pts), 3.25)
 
     def test_normal_constancy(self, torus):
         rng = np.random.default_rng(16)
@@ -168,14 +131,14 @@ class TestExtension:
         n = torus.surface_normal(torus.closest_point(pts))
         shifted = pts + 0.01 * n
         npt.assert_allclose(
-            torus.extend_scalar(f, pts), torus.extend_scalar(f, shifted), atol=1e-12
+            torus.extend_vector(f, pts), torus.extend_vector(f, shifted), atol=1e-12
         )
 
     def test_gradient_of_extension_is_tangential_on_surface(self, torus):
         # extension of p = z has a purely tangential gradient on the surface
         rng = np.random.default_rng(17)
         pts = torus.closest_point(_random_tube_points(torus, 50, rng))
-        ext = lambda q: torus.extend_scalar(lambda p: p[:, 2], q)
+        ext = lambda q: torus.extend_vector(lambda p: p[:, 2], q)
         grad = fd_gradient(ext, pts)
         n = torus.surface_normal(pts)
         proj = grad - np.einsum("nx,nx->n", grad, n)[:, None] * n
