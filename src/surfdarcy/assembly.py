@@ -95,9 +95,6 @@ class AssembledSystem:
     params: AssemblyParams
     h: float
     k_g: int
-    # (total - 1, 3); only the memory-bounded dissection elimination of the
-    # solver, used above solver.NESTED_THRESHOLD unknowns, reads them
-    dof_coords: np.ndarray | None = None
 
 
 def _cell_tab(space: FESpace, ds: DiscreteSurface):
@@ -331,7 +328,6 @@ def assemble(
         [None, None, None, row, sp.csr_matrix((1, 1))],
     ]
     matrix = sp.bmat(blocks, format="csr")
-    dof_coords = np.vstack([vspace.dof_coords] * 3 + [pspace.dof_coords])
     return AssembledSystem(
         matrix=matrix,
         rhs=rhs,
@@ -339,6 +335,5 @@ def assemble(
         params=params,
         h=active.h,
         k_g=ds.k_g,
-        dof_coords=dof_coords,
     )
 

@@ -106,11 +106,6 @@ class DiscreteSurface:
         return self.qp_normals.reshape(-1, 3)
 
     @property
-    def point_cells(self):
-        m = self.qp_points.shape[1]
-        return np.repeat(np.arange(self.n_cells), m)
-
-    @property
     def point_active(self):
         """Active-mesh tet position per quadrature point."""
         m = self.qp_points.shape[1]
@@ -119,11 +114,6 @@ class DiscreteSurface:
     @property
     def total_area(self):
         return float(self.qp_weights.sum())
-
-    @property
-    def mean_weights(self):
-        """Per-point weights of the surface mean functional (sum to 1)."""
-        return self.weights / self.total_area
 
     @property
     def cells(self):

@@ -1,4 +1,4 @@
-"""Sparse direct solution of the assembled system and condition estimation.
+"""Solution of the assembled system and condition estimation.
 
 The assembled saddle system carries one dense Lagrange-multiplier row/column
 (the zero-mean pressure constraint), which ruins sparse-LU orderings if
@@ -9,54 +9,52 @@ block (one pressure DOF pinned) plus two rank-one corrections.  This is an
 exact identity, not an approximation; the returned residual is always
 measured against the full bordered system.
 
-The grounded block is A = H + K.  H = blockdiag(1/2 M_u + S_u three times,
-1/2 K_p + S_p with the ground DOF pinned) is symmetric positive definite, and
-K, the +-1/2 gradient couplings, is skew, so x^T A x = x^T H x > 0.  Every
-principal submatrix of A is then nonsingular, and elimination without
-pivoting in any symmetric ordering meets no zero pivot (Golub & Van Loan,
-Matrix Computations, on LU of nonsymmetric positive definite systems).  The
-grounded block and its principal blocks are therefore factored by SuperLU in
-its symmetric mode: minimum degree on A^T + A, diagonal pivots only.  On a
-case-6 level-1 block (21,388 unknowns, 12 coarse cells) this takes 1.2 s and
-10.9 M L+U nonzeros, against 6.4 s and 28.1 M for the default COLAMD ordering
-with partial pivoting; the same ordering and pivot threshold without
-symmetric mode take 20-22 s (one 2-vCPU host).
+The grounded block is A = H + K.  H = blockdiag(A_u three times, A_p), with
+A_u = 1/2 M_u + S_u and A_p = 1/2 K_p + S_p with the ground DOF pinned, is
+symmetric positive definite, and K, the +-1/2 gradient couplings G, is skew,
+so x^T A x = x^T H x > 0.  Every principal submatrix of A is then
+nonsingular, and elimination without pivoting in any symmetric ordering meets
+no zero pivot (Golub & Van Loan, Matrix Computations, on LU of nonsymmetric
+positive definite systems).  A and its principal blocks are therefore
+factored by SuperLU in its symmetric mode: minimum degree on A^T + A,
+diagonal pivots only.  On a case-6 level-1 block (21,388 unknowns, 12 coarse
+cells) this takes 1.2 s and 10.9 M L+U nonzeros, against 6.4 s and 28.1 M
+for the default COLAMD ordering with partial pivoting; the same ordering and
+pivot threshold without symmetric mode take 20-22 s (one 2-vCPU host).
 
-Each system is factorized once (`factorize`); the solve and the condition
-estimate both reuse that factor.  The grounded block is factorized by one of
-two strategies, chosen by size:
+The grounded block is solved in one of two ways, chosen by how the solver is
+used, not by the size of the system:
 
-- one symmetric-mode SuperLU factor up to NESTED_THRESHOLD unknowns;
-- above it, a dissection-tree Schur elimination: symmetric-mode SuperLU on
-  the leaf blocks and dense frontal LU (partial pivoting) on the separators;
-  per-node back-substitution data is cached in a scratch directory so memory
-  stays bounded by the largest front.  It keeps no factor between solves:
-  each solve redoes the elimination.  On a case-1 level-3 system (212,333
-  unknowns) COLAMD SuperLU fails under a 6 GB address-space cap, while this
-  path solves it in 80 s with a 1.2 GB peak and a relative residual of
-  1.1e-12.  Symmetric mode alone does not make it redundant: its fill grew
-  5.6x from case-1 level 2 to level 3, and at that rate the case-6 level-3
-  block (472,947 unknowns) needs about 500 M nonzeros, some 6 GB for the
-  factor alone.
+- A one-shot `solve(system)` runs GMRES (relative residual 1e-12, restart
+  100) preconditioned by the block upper triangle of A,
+  P = [[A_u (x) I_3, G/2], [0, A_p]].  Its diagonal blocks are principal
+  blocks of H, hence positive definite and nonsingular; each takes one
+  symmetric-mode SuperLU factor, and the one A_u factor solves the three
+  velocity components in a single three-column solve.  GMRES converges in
+  16-19 iterations whatever the mesh size and wherever the surface cuts the
+  mesh: the paper's independence of positioning, seen in the solver (Benzi,
+  Golub & Liesen, Acta Numerica 2005; Elman, Silvester & Wathen, Finite
+  Elements and Fast Iterative Solvers, 2014).  On case-6 level-1 systems
+  (21-22 k unknowns) it takes 0.62 s and 3.3 M L+U nonzeros, against 1.64 s
+  and 11.2 M for one factor of A; case-1 level 3 (209,777 unknowns) takes
+  4.7 s in 17 iterations.
+- `factorize` keeps one full symmetric-mode factor of A, for a caller that
+  solves with one matrix many times; `solve(factorization)` reuses it.  The
+  condition estimate solves with A and A^T some 60 times: on six level-0
+  systems GMRES took 3.60 s for those solves (391-997 iterations per
+  estimate), the factor 0.98 s.
 
 A bare matrix (no assembled layout) may have zero diagonal entries, such as
 the multiplier row's, and is factored on SuperLU's default COLAMD ordering
 with partial pivoting.
-
-The dissection tree cuts the DOF cloud by coordinate medians, picking per
-node the axis with the smallest one-layer vertex separator (computed from the
-actual matrix adjacency), which keeps cuts transversal to the surface band.
 """
 
 from __future__ import annotations
 
 import logging
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -69,17 +67,21 @@ __all__ = [
     "solve",
     "estimate_condition",
     "SingularSystemError",
+    "ConvergenceError",
 ]
 
 log = logging.getLogger(__name__)
 
-# systems past this size use the memory-bounded dissection elimination
-NESTED_THRESHOLD = 150_000
-LEAF_SIZE = 4_000
+# GMRES iteration cap, ten restart cycles; every measured solve took 16-19
+MAX_ITERATIONS = 1000
 
 
 class SingularSystemError(RuntimeError):
     pass
+
+
+class ConvergenceError(SingularSystemError):
+    """GMRES did not reach its tolerance within MAX_ITERATIONS."""
 
 
 @dataclass(frozen=True)
@@ -88,88 +90,7 @@ class Solution:
     p_coeffs: np.ndarray  # (n_p,)
     multiplier: float
     residual_norm: float
-
-
-# ---------------------------------------------------------------------------
-# dissection tree
-# ---------------------------------------------------------------------------
-
-
-def _neighbor_hit(indptr, indices, cand, mask):
-    """For each row in `cand`, whether any column index has mask True."""
-    lengths = indptr[cand + 1] - indptr[cand]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(len(cand), dtype=bool)
-    starts = np.repeat(indptr[cand], lengths)
-    pos = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths) + starts
-    hits = mask[indices[pos]]
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return np.logical_or.reduceat(hits, offsets)
-
-
-class _DissectionTree:
-    """Geometric nested dissection with adjacency-thinned separators."""
-
-    def __init__(self, matrix: sp.csr_matrix, coords, h_link, leaf=LEAF_SIZE):
-        self.indptr = matrix.indptr
-        self.indices = matrix.indices
-        self.coords = np.asarray(coords, dtype=float)
-        self.h_link = float(h_link)
-        self.leaf = int(leaf)
-        self._scratch = np.zeros(matrix.shape[0], dtype=bool)
-        self.nodes = []
-        self.root = self._build(np.arange(matrix.shape[0], dtype=np.int64))
-
-    def _split(self, idx):
-        c = self.coords[idx]
-        best = None
-        for axis in range(c.shape[1]):
-            vals = c[:, axis]
-            median = np.median(vals)
-            in_a = vals <= median
-            a, b = idx[in_a], idx[~in_a]
-            if len(a) == 0 or len(b) == 0:
-                continue
-            cand_mask = self.coords[a][:, axis] > median - self.h_link
-            cand = a[cand_mask]
-            self._scratch[b] = True
-            sep_mask = _neighbor_hit(self.indptr, self.indices, cand, self._scratch)
-            self._scratch[b] = False
-            sep = cand[sep_mask]
-            interior_a = np.concatenate([a[~cand_mask], cand[~sep_mask]])
-            if len(interior_a) == 0:
-                continue
-            score = len(sep) - 1e-3 * min(len(a), len(b))
-            if best is None or score < best[0]:
-                best = (score, np.sort(interior_a), b, np.sort(sep))
-        return best
-
-    def _build(self, idx):
-        if len(idx) <= self.leaf:
-            self.nodes.append({"dofs": idx})
-            return len(self.nodes) - 1
-        found = self._split(idx)
-        if found is None:
-            self.nodes.append({"dofs": idx})
-            return len(self.nodes) - 1
-        _, interior_a, b, sep = found
-        child_a = self._build(interior_a)
-        child_b = self._build(b)
-        self.nodes.append({"sep": sep, "children": (child_a, child_b)})
-        return len(self.nodes) - 1
-
-
-def _max_link_length(matrix: sp.csr_matrix, coords):
-    """Longest geometric distance over structurally coupled DOF pairs."""
-    coo = matrix.tocoo()
-    d = coords[coo.row] - coords[coo.col]
-    return float(np.sqrt(np.einsum("nx,nx->n", d, d).max()))
-
-
-# ---------------------------------------------------------------------------
-# factorization strategies
-# ---------------------------------------------------------------------------
+    iterations: int = 0  # GMRES iterations; 0 for a direct factor
 
 
 def _splu(matrix):
@@ -187,132 +108,55 @@ def _splu(matrix):
         raise SingularSystemError(f"singular system: {exc}") from exc
 
 
-class _NestedLU:
-    """Dissection-tree Schur elimination with dense frontal LU.
+class _BlockGMRES:
+    """GMRES on the grounded block A, preconditioned by its block upper
+    triangle P = [[A_u (x) I_3, G/2], [0, A_p]] (see the module docstring)."""
 
-    One upward pass eliminates leaf interiors (sparse LU) and separators
-    (dense LU with partial pivoting), storing per-node factors and coupling
-    blocks in a scratch directory; the downward pass back-substitutes.  Peak
-    memory is a few live fronts, independent of the total fill.
-    """
+    def __init__(self, grounded: sp.csr_matrix, layout):
+        self.matrix = grounded
+        self.split = 3 * layout.n_u
+        self.lu_u = _splu(grounded[: layout.n_u, : layout.n_u])
+        self.lu_p = _splu(grounded[self.split :, self.split :])
+        self.coupling = grounded[: self.split, self.split :]
+        self.iterations = 0
 
-    def __init__(self, matrix: sp.csr_matrix, coords):
-        self.matrix = matrix.tocsr()
-        h_link = _max_link_length(self.matrix, coords)
-        self.tree = _DissectionTree(self.matrix, coords, 1.001 * h_link)
-        self._tmp = tempfile.TemporaryDirectory(prefix="surfdarcy-front-")
-        self._dir = Path(self._tmp.name)
-        self._prepared = False
+    def _precondition(self, r):
+        p = self.lu_p.solve(r[self.split :])
+        # one factor, three right-hand sides: the velocity components
+        u = self.lu_u.solve((r[: self.split] - self.coupling @ p).reshape(3, -1).T)
+        return np.concatenate([u.T.ravel(), p])
 
-    def _sub(self, rows, cols, dense=False):
-        block = self.matrix[rows][:, cols]
-        return block.toarray() if dense else block
-
-    def _boundary_of(self, dofs, bnd):
-        if len(bnd) == 0:
-            return np.zeros(0, dtype=bool)
-        scratch = np.zeros(self.matrix.shape[0], dtype=bool)
-        scratch[dofs] = True
-        return _neighbor_hit(self.matrix.indptr, self.matrix.indices, bnd, scratch)
-
-    def _up(self, node_id, bnd, b):
-        """Eliminate the subtree interior; return the Schur update and
-        reduced right-hand side on `bnd`."""
-        node = self.tree.nodes[node_id]
-        if "dofs" in node:
-            dofs = node["dofs"]
-            lu = _splu(self._sub(dofs, dofs))
-            y = lu.solve(b[dofs])
-            if len(bnd) == 0:
-                return np.zeros((0, 0)), np.zeros(0)
-            a_xb = self._sub(dofs, bnd, dense=True)
-            a_bx = self._sub(bnd, dofs)
-            return -(a_bx @ lu.solve(a_xb)), -(a_bx @ y)
-
-        sep = node["sep"]
-        own = np.concatenate([sep, bnd])
-        k = len(sep)
-        # assemble raw matrix entries only on this node's separator rows and
-        # columns; the (bnd, bnd) block and b[bnd] belong to an ancestor
-        front = np.zeros((len(own), len(own)))
-        front[:k, :] = self._sub(sep, own, dense=True)
-        front[k:, :k] = self._sub(bnd, sep, dense=True)
-        rhs = np.zeros(len(own))
-        rhs[:k] = b[sep]
-        for child_id in node["children"]:
-            child_dofs = self._collect_dofs(child_id)
-            mask = self._boundary_of(child_dofs, own)
-            cpos = np.flatnonzero(mask)
-            update, r_up = self._up(child_id, own[cpos], b)
-            front[np.ix_(cpos, cpos)] += update
-            rhs[cpos] += r_up
-            node.setdefault("cpos", []).append(cpos)
-
-        try:
-            lu_piv = dla.lu_factor(front[:k, :k])
-        except (ValueError, dla.LinAlgError) as exc:
-            raise SingularSystemError(f"singular separator front: {exc}") from exc
-        coupling = dla.lu_solve(lu_piv, front[:k, k:]) if len(bnd) else np.zeros((k, 0))
-        g = dla.lu_solve(lu_piv, rhs[:k])
-        np.save(self._dir / f"w{node_id}.npy", coupling)
-        node["g"] = g
-        if len(bnd) == 0:
-            return np.zeros((0, 0)), np.zeros(0)
-        schur = front[k:, k:] - front[k:, :k] @ coupling
-        reduced = rhs[k:] - front[k:, :k] @ g
-        return schur, reduced
-
-    def _collect_dofs(self, node_id):
-        node = self.tree.nodes[node_id]
-        if "all_dofs" in node:
-            return node["all_dofs"]
-        if "dofs" in node:
-            node["all_dofs"] = node["dofs"]
-        else:
-            parts = [self._collect_dofs(c) for c in node["children"]] + [node["sep"]]
-            node["all_dofs"] = np.sort(np.concatenate(parts))
-        return node["all_dofs"]
-
-    def _down(self, node_id, bnd, xb, b, x):
-        node = self.tree.nodes[node_id]
-        if "dofs" in node:
-            dofs = node["dofs"]
-            rhs = b[dofs]
-            if len(bnd):
-                rhs = rhs - self._sub(dofs, bnd) @ xb
-            x[dofs] = _splu(self._sub(dofs, dofs)).solve(rhs)
-            return
-        sep = node["sep"]
-        own = np.concatenate([sep, bnd])
-        coupling = np.load(self._dir / f"w{node_id}.npy")
-        x_sep = node["g"] - (coupling @ xb if len(bnd) else 0.0)
-        x[sep] = x_sep
-        x_own = np.concatenate([x_sep, xb])
-        for child_id, cpos in zip(node["children"], node["cpos"]):
-            self._down(child_id, own[cpos], x_own[cpos], b, x)
+    def _count(self, _):
+        self.iterations += 1
 
     def solve(self, b, trans="N"):
-        if trans == "T":
-            if not hasattr(self, "_transposed"):
-                self._transposed = _NestedLU(
-                    self.matrix.T.tocsr(), self.tree.coords
-                )
-            return self._transposed.solve(b, trans="N")
-        for node in self.tree.nodes:
-            node.pop("cpos", None)
-        x = np.zeros_like(b)
-        self._up(self.tree.root, np.zeros(0, dtype=np.int64), b)
-        self._down(self.tree.root, np.zeros(0, dtype=np.int64), np.zeros(0), b, x)
+        if trans != "N":
+            raise ValueError("the GMRES path solves with A, not with its transpose")
+        n = len(b)
+        x, info = spla.gmres(
+            self.matrix,
+            b,
+            rtol=1e-12,
+            atol=0.0,
+            restart=100,
+            maxiter=MAX_ITERATIONS,
+            M=spla.LinearOperator((n, n), matvec=self._precondition),
+            callback=self._count,
+            # "legacy" makes maxiter count iterations rather than restart cycles
+            callback_type="legacy",
+        )
+        if info:
+            rel = np.linalg.norm(self.matrix @ x - b) / np.linalg.norm(b)
+            raise ConvergenceError(
+                f"GMRES did not converge in {self.iterations} iterations "
+                f"(relative residual {rel:.3e})"
+            )
         return x
 
 
-# ---------------------------------------------------------------------------
-# bordered-system elimination
-# ---------------------------------------------------------------------------
-
-
 class _BorderedOperator:
-    """Exact inverse of the assembled bordered system.
+    """Exact inverse of the assembled bordered system, given a solver
+    `inner(grounded, layout)` of its grounded block.
 
     The block without the multiplier has the constant-pressure vector e as
     left and right null vector; grounding one pressure DOF makes it regular,
@@ -322,7 +166,7 @@ class _BorderedOperator:
         x = x~ + t e with t from the constraint row.
     """
 
-    def __init__(self, system: AssembledSystem):
+    def __init__(self, system: AssembledSystem, inner):
         matrix = system.matrix.tocsr()
         lay = system.layout
         n = lay.total - 1
@@ -347,12 +191,7 @@ class _BorderedOperator:
             shape=(n, n),
         )
         self.ground = ground
-
-        coords = system.dof_coords
-        if coords is not None and n > NESTED_THRESHOLD:
-            self.inner = _NestedLU(grounded, coords)
-        else:
-            self.inner = _splu(grounded)
+        self.inner = inner(grounded, lay)
 
     def solve(self, rhs_full, trans="N"):
         r, rho = rhs_full[: self.n], rhs_full[self.n]
@@ -381,9 +220,8 @@ class Factorization:
         self.matrix = sp.csr_matrix(system_or_matrix)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("system matrix must be square")
-        lay = getattr(self.system, "layout", None)
-        if lay is not None and lay.total == self.matrix.shape[0] and lay.n_p > 0:
-            self._lu = _BorderedOperator(self.system)
+        if _is_bordered(self.system):
+            self._lu = _BorderedOperator(self.system, lambda block, _: _splu(block))
         else:
             # anything else may have zero diagonal entries: COLAMD with pivoting
             try:
@@ -393,19 +231,9 @@ class Factorization:
 
     def solution(self) -> Solution:
         """Direct solve; the residual is recomputed against the full system."""
-        system = self.system
-        if system is None:
+        if self.system is None:
             raise ValueError("a bare matrix has no right-hand side to solve for")
-        lay = system.layout
-        x = self._lu.solve(system.rhs)
-        residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
-        u = np.stack([x[lay.u_slice(c)] for c in range(3)]) if lay.n_u else np.zeros((3, 0))
-        return Solution(
-            u_coeffs=u,
-            p_coeffs=x[lay.p_slice],
-            multiplier=float(x[lay.multiplier_index]),
-            residual_norm=residual,
-        )
+        return _solution(self.system, self._lu.solve(self.system.rhs))
 
     def condition(self, seed: int = 0) -> float:
         """2-norm condition estimate via power iteration on A A^T and its
@@ -434,8 +262,38 @@ def factorize(system_or_matrix) -> Factorization:
 
 
 def solve(system) -> Solution:
-    """Direct solve of an assembled system (or of its Factorization)."""
-    return factorize(system).solution()
+    """Solve an assembled system once: a bordered one by block-preconditioned
+    GMRES, any other through its Factorization.  A Factorization is solved
+    with its own factor."""
+    if isinstance(system, Factorization):
+        return system.solution()
+    if not _is_bordered(system):
+        return Factorization(system).solution()
+    op = _BorderedOperator(system, _BlockGMRES)
+    return _solution(system, op.solve(system.rhs), op.inner.iterations)
+
+
+def _is_bordered(system) -> bool:
+    """Whether `system` is square with the assembled layout's multiplier."""
+    if not isinstance(system, AssembledSystem):
+        return False
+    lay = system.layout
+    return system.matrix.shape == (lay.total, lay.total) and lay.n_p > 0
+
+
+def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
+    """Split the full solution vector; the residual is recomputed against the
+    full bordered system."""
+    lay = system.layout
+    residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
+    u = np.stack([x[lay.u_slice(c)] for c in range(3)]) if lay.n_u else np.zeros((3, 0))
+    return Solution(
+        u_coeffs=u,
+        p_coeffs=x[lay.p_slice],
+        multiplier=float(x[lay.multiplier_index]),
+        residual_norm=residual,
+        iterations=iterations,
+    )
 
 
 def _power_iteration(apply_op, n, rng, max_iter=30, rtol=1e-3):

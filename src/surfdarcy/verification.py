@@ -279,6 +279,12 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
         params,
     )
     solution = solve(system)
+    log.info(
+        "%d unknowns: %d GMRES iterations, relative residual %.3e",
+        system.layout.total,
+        solution.iterations,
+        solution.residual_norm / np.linalg.norm(system.rhs),
+    )
     values = solution_values(solution, (vspace, pspace), ds_err)
     errors = compute_errors(values, ds_err, exact)
     defect = tangency_defect(values[0], ds_err)

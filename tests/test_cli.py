@@ -104,7 +104,7 @@ def test_check_command_deterministic_output(tmp_path, capsys):
 def test_converge_exports_finest_level_without_solving_again(tmp_path, splu_calls):
     conv, exp = tmp_path / "converge", tmp_path / "export"
     assert main(["converge", "--case", "1", "--levels", "1", "--vtk-dir", str(conv)]) == 0
-    assert len(splu_calls) == 2, "one factorization per level"
+    assert len(splu_calls) == 4, "two block factorizations per level"
     assert main(["export", "--case", "1", "--level", "1", "--vtk-dir", str(exp)]) == 0
     names = sorted(p.name for p in conv.iterdir())
     assert names == ["active_mesh_case1_level1.vtk", "surface_case1_level1.vtk"]
@@ -196,6 +196,12 @@ def test_warnings_reach_stderr_with_logger_name(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "WARNING surfdarcy.solver: condition estimate did not converge\n" in err
     assert "condition estimate" not in out
+
+
+def test_unconverged_solve_is_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
+    assert main(["converge", "--case", "1", "--levels", "1"]) == 2
+    assert "numerical failure: GMRES did not converge" in capsys.readouterr().err
 
 
 def test_config_without_value_is_usage_error(capsys, splu_calls):

@@ -84,7 +84,6 @@ class TestSolve:
             params=system.params,
             h=system.h,
             k_g=system.k_g,
-            dof_coords=system.dof_coords,
         )
         sol = solve(shadow)
         recovered = np.concatenate(
@@ -118,18 +117,37 @@ class TestSolve:
         with pytest.raises(solver_mod.SingularSystemError):
             solve(_raw_system(matrix, np.ones(4)))
 
-    def test_nested_path_matches_direct(self, level1_system, monkeypatch):
-        system, _, _ = level1_system
-        direct = solve(system)
-        monkeypatch.setattr(solver_mod, "NESTED_THRESHOLD", 1000)
-        nested = solve(system)
-        assert nested.residual_norm <= 1e-9 * np.linalg.norm(system.rhs)
-        npt.assert_allclose(nested.p_coeffs, direct.p_coeffs, atol=1e-10)
-        npt.assert_allclose(nested.u_coeffs, direct.u_coeffs, atol=1e-10)
+    def test_block_gmres_matches_factor(self, level0_system):
+        system = level0_system
+        gmres = solve(system)
+        direct = factorize(system).solution()
+        assert gmres.iterations > 0 and direct.iterations == 0
+        assert gmres.residual_norm <= 1e-11 * np.linalg.norm(system.rhs)
+        npt.assert_allclose(gmres.u_coeffs, direct.u_coeffs, rtol=0, atol=1e-10)
+        npt.assert_allclose(gmres.p_coeffs, direct.p_coeffs, rtol=0, atol=1e-10)
+        assert gmres.multiplier == pytest.approx(direct.multiplier, abs=1e-10)
+
+    def test_block_path_factors_the_two_diagonal_blocks(self, level0_system, monkeypatch):
+        system = level0_system
+        shapes, splu = [], solver_mod.spla.splu
+        monkeypatch.setattr(
+            solver_mod.spla,
+            "splu",
+            lambda a, **kw: shapes.append((a.shape, kw)) or splu(a, **kw),
+        )
+        solve(system)
+        n_u, n_p = system.layout.n_u, system.layout.n_p
+        settings = TestSymmetricMode.SETTINGS
+        assert shapes == [((n_u, n_u), settings), ((n_p, n_p), settings)]
+
+    def test_unconverged_gmres_raises(self, level0_system, monkeypatch):
+        monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
+        with pytest.raises(solver_mod.ConvergenceError, match="1 iterations"):
+            solve(level0_system)
 
     def test_one_factorization_serves_solve_and_estimate(self, level1_system, monkeypatch):
         system, _, _ = level1_system
-        separate = (solve(system), estimate_condition(system, seed=3))
+        separate = (factorize(system).solution(), estimate_condition(system, seed=3))
         calls = []
         splu = solver_mod.spla.splu
         monkeypatch.setattr(

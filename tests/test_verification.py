@@ -154,6 +154,18 @@ class TestComputeErrors:
             )
 
 
+def test_run_level_logs_iterations_and_residual(exact, caplog):
+    with caplog.at_level("INFO", logger="surfdarcy.verification"):
+        out = run_level(case_config(1), build_background(), exact)
+    system, solution = out["system"], out["solution"]
+    rel = solution.residual_norm / np.linalg.norm(system.rhs)
+    assert solution.iterations > 0
+    assert (
+        f"{system.layout.total} unknowns: {solution.iterations} GMRES iterations, "
+        f"relative residual {rel:.3e}"
+    ) in caplog.messages
+
+
 class TestTabulationsPerLevel:
     """`run_level` tabulates each (space order, point set) once: the surface
     and its error-quadrature copy, for one space in case 1 and two in case 6."""
