@@ -11,15 +11,12 @@ from .assembly import (
 )
 from .cut_surface import (
     DiscreteSurface,
-    SurfaceCell,
     TetInterpolant,
     build_surface,
-    lift_point,
-    marching_tet,
     surface_mean,
     with_quadrature,
 )
-from .fe_space import FESpace, build_space, interpolate
+from .fe_space import FESpace, build_space
 from .geometry import ImplicitSurface, Torus, Translated
 from .mesh import (
     ActiveMesh,
@@ -28,7 +25,7 @@ from .mesh import (
     extract_active,
     refine_uniform,
 )
-from .solver import Factorization, Solution, estimate_condition, factorize, solve
+from .solver import Factorization, Solution, estimate_condition, solve
 from .verification import (
     CASE_TABLE,
     CaseConfig,

@@ -10,7 +10,7 @@ discrete-surface quadrature points (the tangential condition is enforced only
 weakly).  A volume stabilization over all active tets is added per scalar
 field: tau * h^(alpha-1) times either the full-gradient or the
 normal-gradient penalty, with the bulk normal taken from the gradient of the
-per-tet level-set interpolant of matching geometric order.  The zero-mean
+discrete level set phi_h whose zero set is the discrete surface.  The zero-mean
 pressure constraint is appended as a single symmetric Lagrange multiplier
 row/column.
 
@@ -31,7 +31,6 @@ import scipy.sparse as sp
 from . import fe_space, shapes
 from .cut_surface import DiscreteSurface, TetInterpolant
 from .fe_space import FESpace
-from .geometry import ImplicitSurface
 from .mesh import ActiveMesh
 from .quadrature import tet_rule
 
@@ -92,9 +91,6 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     layout: SystemLayout
-    params: AssemblyParams
-    h: float
-    k_g: int
 
 
 def _cell_tab(space: FESpace, ds: DiscreteSurface):
@@ -158,14 +154,12 @@ def assemble_surface_stiffness(
     return _scatter(_grad_gram(ds.qp_weights, grads), dofs, dofs, (n, n))
 
 
-def surface_load_vector(space: FESpace, ds: DiscreteSurface, values=None) -> np.ndarray:
-    """b_j = integral of (values *) basis_j over the discrete surface."""
+def surface_load_vector(space: FESpace, ds: DiscreteSurface) -> np.ndarray:
+    """b_j = integral of basis_j over the discrete surface."""
     vals, _, dofs = _cell_tab(space, ds)
     w = ds.qp_weights
-    if values is None:
-        values = np.ones(w.shape)
-    values = np.asarray(values, dtype=float).reshape(w.shape + (1,))
-    return _scatter_vector(_gram(w, vals, values)[..., 0], dofs, space.global_dofs)
+    ones = np.ones(w.shape + (1,))
+    return _scatter_vector(_gram(w, vals, ones)[..., 0], dofs, space.global_dofs)
 
 
 def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
@@ -190,29 +184,26 @@ def _tet_volumes(active: ActiveMesh):
 
 def assemble_stabilization(
     space: FESpace,
-    active: ActiveMesh,
-    surface: ImplicitSurface,
+    ds: DiscreteSurface,
     kind: Stabilization,
     tau: float,
     alpha: float,
-    h: float,
-    k_g: int,
 ) -> sp.csr_matrix:
-    """One scalar-space stabilization block: tau * h^(alpha-1) * penalty.
+    """One scalar-space stabilization block over the active mesh of ds:
+    tau * h^(alpha-1) * penalty.
 
     FULL_GRADIENT penalizes the full gradient over every active tet;
     NORMAL_GRADIENT penalizes only the component along the bulk normal field
-    grad(phi_h)/|grad(phi_h)| of the degree-k_g level-set interpolant, falling
-    back to the exact distance gradient where the interpolant degenerates.
+    grad(phi_h)/|grad(phi_h)| of the surface's own level-set interpolant,
+    falling back to the exact distance gradient where it degenerates.
     """
+    active = ds.active
     if space.active_mesh is not active:
         raise AssemblyError("space was built on a different active mesh")
     if tau <= 0.0:
         raise AssemblyError("stabilization parameter tau must be positive")
     if not 0.0 <= alpha <= 2.0:
         raise AssemblyError("stabilization exponent alpha must lie in [0, 2]")
-    if k_g not in (1, 2):
-        raise AssemblyError("geometry order k_g must be 1 or 2")
 
     degree = max(2 * (space.order - 1), 1)
     bary, w = tet_rule(degree, positive=True)
@@ -225,44 +216,40 @@ def assemble_stabilization(
     if kind == Stabilization.FULL_GRADIENT:
         data = _grad_gram(weights, grads)
     elif kind == Stabilization.NORMAL_GRADIENT:
-        normals = _bulk_normals(active, surface, k_g, bary)
+        normals = _bulk_normals(ds, bary)
         ndot = (grads @ normals[..., None])[..., 0]  # (t, m, nb)
         data = _gram(weights, ndot, ndot)
     else:
         raise AssemblyError(f"unknown stabilization kind {kind!r}")
 
-    data *= tau * h ** (alpha - 1.0)
+    data *= tau * active.h ** (alpha - 1.0)
     n = space.global_dofs
     return _scatter(data, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def _bulk_normals(active, surface, k_g, bary):
-    """Normal field of the per-tet degree-k_g level-set interpolant at the
-    bulk quadrature points: (t, m, 3) unit vectors."""
-    phi = TetInterpolant.of_field(active.tet_vertices[:, None], k_g, surface.signed_distance)
-    phi.lam_grads = active.lam_grads[:, None]
-    return phi.normal_at(bary, surface.surface_normal)
+def _bulk_normals(ds: DiscreteSurface, bary):
+    """Normal field of the surface's phi_h at the bulk quadrature points of
+    every active tet: (t, m, 3) unit vectors."""
+    phi = TetInterpolant(ds.phi.verts[:, None], ds.phi.order, ds.phi.values[:, None])
+    phi.lam_grads = ds.active.lam_grads[:, None]
+    return phi.normal_at(bary, ds.surface.surface_normal)
 
 
 def assemble(
     spaces,
     ds: DiscreteSurface,
-    active: ActiveMesh,
-    surface: ImplicitSurface,
     data,
     params: AssemblyParams = AssemblyParams(),
 ) -> AssembledSystem:
     """Assemble matrix and right-hand side of the discrete problem.
 
-    spaces: (velocity_space, pressure_space) on `active`; data: (f, g) surface
-    fields, extended off the surface through the closest-point projection at
-    the quadrature points.
+    spaces: (velocity_space, pressure_space) on the active mesh of ds; data:
+    (f, g) surface fields, extended off the surface through the closest-point
+    projection at the quadrature points.
     """
     vspace, pspace = spaces
-    if vspace.active_mesh is not active or pspace.active_mesh is not active:
-        raise AssemblyError("spaces and active mesh do not match")
-    if ds.active is not active:
-        raise AssemblyError("discrete surface was built on a different active mesh")
+    if vspace.active_mesh is not ds.active or pspace.active_mesh is not ds.active:
+        raise AssemblyError("spaces and discrete surface do not match")
     if params.tau <= 0.0:
         raise AssemblyError("stabilization parameter tau must be positive")
 
@@ -289,17 +276,15 @@ def assemble(
         _scatter(coupling[..., c], udofs, pdofs, (n_u, n_p)) for c in range(3)
     ]
 
-    stab_u = assemble_stabilization(
-        vspace, active, surface, params.stab, params.tau, params.alpha, active.h, ds.k_g
-    )
+    stab_u = assemble_stabilization(vspace, ds, params.stab, params.tau, params.alpha)
     stab_p = stab_u if vspace is pspace else assemble_stabilization(
-        pspace, active, surface, params.stab, params.tau, params.alpha, active.h, ds.k_g
+        pspace, ds, params.stab, params.tau, params.alpha
     )
 
     constraint = _scatter_vector(_gram(w, pvals, ones)[..., 0], pdofs, n_p)
 
     # right-hand side: f and g pulled back from one projection of the points
-    projected = surface.closest_point(ds.points)
+    projected = ds.surface.closest_point(ds.points)
     f_vals = np.asarray(f(projected), dtype=float).reshape(nc, m, 1)
     g_vals = np.asarray(g(projected), dtype=float).reshape(nc, m, 3)
     rhs = np.zeros(layout.total)
@@ -328,12 +313,5 @@ def assemble(
         [None, None, None, row, sp.csr_matrix((1, 1))],
     ]
     matrix = sp.bmat(blocks, format="csr")
-    return AssembledSystem(
-        matrix=matrix,
-        rhs=rhs,
-        layout=layout,
-        params=params,
-        h=active.h,
-        k_g=ds.k_g,
-    )
+    return AssembledSystem(matrix=matrix, rhs=rhs, layout=layout)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fe_space, vtk_io
-from .mesh import DEFAULT_N_CELLS, build_background, refine_uniform
+from .mesh import DEFAULT_N_CELLS, MeshError, build_background, refine_uniform
 from .solver import SingularSystemError
 from .suites import (
     geometric_rate_suite,
@@ -288,6 +288,10 @@ def _run(argv) -> int:
             return _cmd_check(args)
         if args.command == "export":
             return _cmd_export(args)
+    except MeshError as exc:
+        # a grid too coarse to resolve the surface
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except (SingularSystemError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -29,12 +29,9 @@ from .mesh import ActiveMesh
 from .quadrature import triangle_rule
 
 __all__ = [
-    "SurfaceCell",
     "DiscreteSurface",
     "TetInterpolant",
-    "marching_tet",
     "build_surface",
-    "lift_point",
     "surface_mean",
     "with_quadrature",
     "CutSurfaceError",
@@ -50,27 +47,11 @@ class CutSurfaceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SurfaceCell:
-    """One quadrature-ready surface cell inside its parent tet."""
-
-    parent_tet: int
-    order: int
-    vertices: np.ndarray  # (3, 3) planar or (6, 3) quadratic nodes
-    quad_points: np.ndarray  # (m, 3)
-    quad_weights: np.ndarray  # (m,)
-    quad_normals: np.ndarray  # (m, 3)
-
-    @property
-    def area(self):
-        return float(self.quad_weights.sum())
-
-
-@dataclass(frozen=True)
 class DiscreteSurface:
     k_g: int
-    quad_degree: int
     surface: ImplicitSurface
     active: ActiveMesh
+    phi: TetInterpolant  # phi_h of order k_g, a (n_active,) batch of active tets
     cell_active: np.ndarray  # (nc,) position of the parent tet in the active mesh
     nodes: np.ndarray  # (nc, 3 or 6, 3)
     node_lambdas: np.ndarray  # (nc, 3 or 6, 4) barycentric w.r.t. parent tet
@@ -83,11 +64,6 @@ class DiscreteSurface:
     @property
     def n_cells(self):
         return len(self.cell_active)
-
-    @property
-    def parent_tets(self):
-        """Global background-mesh tet index per cell."""
-        return self.active.active_tets[self.cell_active]
 
     @property
     def points(self):
@@ -115,21 +91,6 @@ class DiscreteSurface:
     def total_area(self):
         return float(self.qp_weights.sum())
 
-    @property
-    def cells(self):
-        parents = self.parent_tets
-        return [
-            SurfaceCell(
-                parent_tet=int(parents[c]),
-                order=self.k_g,
-                vertices=self.nodes[c],
-                quad_points=self.qp_points[c],
-                quad_weights=self.qp_weights[c],
-                quad_normals=self.qp_normals[c],
-            )
-            for c in range(self.n_cells)
-        ]
-
     # measured geometric quality, used by the verification suites
     def max_distance(self):
         return float(np.abs(self.surface.signed_distance(self.points)).max())
@@ -153,9 +114,9 @@ class TetInterpolant:
     then the TET_EDGES midpoints).  The evaluators at barycentric
     coordinates broadcast the batch shape against the points' leading shape:
     a (t, 1) batch evaluated at (m, 4) or (t, m, 4) coordinates gives (t, m).
-    `value(x)` and `gradient(x)` take physical points.  The gradients of the
-    barycentric coordinates, `lam_grads` (..., 4, 3), are computed on first
-    use; an interpolant on active-mesh tets takes the mesh's own.
+    The gradients of the barycentric coordinates, `lam_grads` (..., 4, 3),
+    are computed on first use; an interpolant on active-mesh tets takes the
+    mesh's own.
     """
 
     def __init__(self, tet_vertices, order: int, values):
@@ -208,15 +169,6 @@ class TetInterpolant:
             grad[degenerate] = np.atleast_2d(exact_normal(points[degenerate]))
             norms = np.linalg.norm(grad, axis=-1)
         return grad / norms[..., None]
-
-    def _lam(self, x):
-        return shapes.barycentric_coords(self.verts, np.asarray(x, dtype=float))
-
-    def value(self, x):
-        return self.value_at(self._lam(x))
-
-    def gradient(self, x):
-        return self.gradient_at(self._lam(x))
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +276,6 @@ def _march_batch(tet_verts, phi):
     return cell_tet[order], cell_lam[order], cell_flip[order]
 
 
-def marching_tet(tet_vertices, phi):
-    """Intersect one tet with the zero set of its vertex-linear level set.
-
-    Returns a list of 0, 1, or 2 triangles, each a (3, 3) array of vertex
-    coordinates at the linear edge roots.
-    """
-    verts = np.asarray(tet_vertices, dtype=float).reshape(1, 4, 3)
-    values = np.asarray(phi, dtype=float).reshape(1, 4)
-    if not np.all(np.isfinite(values)):
-        raise CutSurfaceError("non-finite level-set values")
-    pos = values[0] >= 0.0
-    if pos.all() or not pos.any():
-        return []
-    _, lam, _ = _march_batch(verts, values)
-    return [lam[c] @ verts[0] for c in range(len(lam))]
-
-
 # ---------------------------------------------------------------------------
 # quadratic lift
 # ---------------------------------------------------------------------------
@@ -374,26 +309,6 @@ def _line_roots(phi: TetInterpolant, lam0, dlam, h):
     resolved = np.isfinite(nearest) & (np.abs(nearest) <= h)
     t = np.where(resolved, nearest, 0.0)
     return t, resolved
-
-
-def lift_point(x0, interpolant: TetInterpolant, direction, h=None):
-    """Move x0 along `direction` onto the zero set of a one-tet interpolant.
-
-    Takes the root of the restricted polynomial nearest to x0 (see
-    `_line_roots`); h defaults to the longest tet edge.  Raises
-    CutSurfaceError when no root lies within |t| <= h.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    verts = interpolant.verts
-    if h is None:
-        h = max(np.linalg.norm(verts[a] - verts[b]) for a, b in shapes.TET_EDGES)
-    lam0 = shapes.barycentric_coords(verts, x0)
-    dlam = interpolant.lam_grads @ d
-    t, resolved = _line_roots(interpolant, lam0, dlam, h)
-    if not resolved:
-        raise CutSurfaceError(f"lift failure: no level-set root within |t| <= {h:g}")
-    return x0 + t * d
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +355,9 @@ def build_surface(
 
     return DiscreteSurface(
         k_g=k_g,
-        quad_degree=quad_degree,
         surface=surface,
         active=active,
+        phi=phi,
         cell_active=cell_active,
         nodes=nodes,
         node_lambdas=node_lam,
@@ -522,7 +437,6 @@ def with_quadrature(ds: DiscreteSurface, degree: int) -> DiscreteSurface:
     """Same surface cells, re-sampled with a quadrature rule of another degree."""
     return replace(
         ds,
-        quad_degree=degree,
         **_attach_quadrature(ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, degree),
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import shapes
 from .mesh import ActiveMesh
 
-__all__ = ["FESpace", "build_space", "interpolate", "FESpaceError"]
+__all__ = ["FESpace", "build_space", "FESpaceError"]
 
 
 class FESpaceError(ValueError):
@@ -34,11 +34,6 @@ class FESpace:
     order: int
     global_dofs: int
     cell_dofs: np.ndarray  # (n_active, 4 or 10)
-    dof_coords: np.ndarray  # (global_dofs, 3)
-
-    @property
-    def local_dofs(self):
-        return self.cell_dofs.shape[1]
 
 
 def build_space(active: ActiveMesh, order: int) -> FESpace:
@@ -50,7 +45,6 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
     vert_dof[verts_used] = np.arange(len(verts_used))
     cell_dofs = vert_dof[tets]
 
-    coords = [active.parent.vertices[verts_used]]
     ndof = len(verts_used)
     if order == 2:
         # an edge's key a * n_vertices + b of its sorted endpoints a < b sorts
@@ -62,20 +56,12 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
         keys = np.minimum(first, second) * n_vertices + np.maximum(first, second)
         edges, inverse = np.unique(keys, return_inverse=True)
         cell_dofs = np.concatenate([cell_dofs, ndof + inverse.reshape(len(tets), 6)], axis=1)
-        coords.append(
-            0.5
-            * (
-                active.parent.vertices[edges // n_vertices]
-                + active.parent.vertices[edges % n_vertices]
-            )
-        )
         ndof += len(edges)
     return FESpace(
         active_mesh=active,
         order=order,
         global_dofs=ndof,
         cell_dofs=cell_dofs.astype(np.int64),
-        dof_coords=np.concatenate(coords, axis=0),
     )
 
 
@@ -97,12 +83,6 @@ def tabulate(space: FESpace, cell_positions, lambdas):
         dvalues = shapes.tet_p2_dvalues(lam)
     grads = dvalues @ space.active_mesh.lam_grads[cells]
     return values, grads, space.cell_dofs[cells]
-
-
-def interpolate(space: FESpace, field) -> np.ndarray:
-    """Nodal interpolation: the field, mapping (n, 3) points to (n,) values,
-    at the DOF coordinates."""
-    return np.asarray(field(space.dof_coords), dtype=float)
 
 
 def evaluate(space: FESpace, coeffs, cell_positions, lambdas):

@@ -77,10 +77,6 @@ class BackgroundMesh:
     tets: np.ndarray  # (6 n^3, 4) vertex indices, positively oriented
     h: float  # cube edge length
 
-    def vertex_index(self, i, j, k):
-        n1 = self.n_cells + 1
-        return (i * n1 + j) * n1 + k
-
 
 @dataclass(frozen=True)
 class ActiveMesh:

@@ -94,22 +94,6 @@ def barycentric_gradients(tet_vertices):
     return np.concatenate([g0, grads], axis=-2)
 
 
-def barycentric_coords(tet_vertices, points):
-    """Barycentric coordinates of physical points.
-
-    tet_vertices: (..., 4, 3), points: (..., 3) -> (..., 4).
-    """
-    v = np.asarray(tet_vertices, dtype=float)
-    p = np.asarray(points, dtype=float)
-    edges = np.stack([v[..., 1, :] - v[..., 0, :],
-                      v[..., 2, :] - v[..., 0, :],
-                      v[..., 3, :] - v[..., 0, :]], axis=-1)
-    rhs = p - v[..., 0, :]
-    lam123 = np.linalg.solve(edges, rhs[..., None])[..., 0]
-    lam0 = 1.0 - lam123.sum(axis=-1, keepdims=True)
-    return np.concatenate([lam0, lam123], axis=-1)
-
-
 def tet_edge_midpoints(tet_vertices):
     """Midpoints of the 6 tet edges: (..., 4, 3) -> (..., 6, 3)."""
     v = np.asarray(tet_vertices, dtype=float)

@@ -38,15 +38,11 @@ used, not by the size of the system:
   (21-22 k unknowns) it takes 0.62 s and 3.3 M L+U nonzeros, against 1.64 s
   and 11.2 M for one factor of A; case-1 level 3 (209,777 unknowns) takes
   4.7 s in 17 iterations.
-- `factorize` keeps one full symmetric-mode factor of A, for a caller that
-  solves with one matrix many times; `solve(factorization)` reuses it.  The
-  condition estimate solves with A and A^T some 60 times: on six level-0
+- A `Factorization` keeps one full symmetric-mode factor of A, for a caller
+  that solves with one matrix many times; `solve(factorization)` reuses it.
+  The condition estimate solves with A and A^T some 60 times: on six level-0
   systems GMRES took 3.60 s for those solves (391-997 iterations per
   estimate), the factor 0.98 s.
-
-A bare matrix (no assembled layout) may have zero diagonal entries, such as
-the multiplier row's, and is factored on SuperLU's default COLAMD ordering
-with partial pivoting.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from .assembly import AssembledSystem
 __all__ = [
     "Solution",
     "Factorization",
-    "factorize",
     "solve",
     "estimate_condition",
     "SingularSystemError",
@@ -208,38 +203,22 @@ class _BorderedOperator:
 
 
 class Factorization:
-    """One factorization of a system matrix, shared by the solve and the
-    condition estimate.  An assembled bordered system is factorized through
-    its grounded block; any other system or bare matrix as it is."""
+    """One factorization of an assembled system, through its grounded block,
+    shared by the solve and the condition estimate."""
 
-    def __init__(self, system_or_matrix):
-        self.system = None
-        if isinstance(system_or_matrix, AssembledSystem):
-            self.system = system_or_matrix
-            system_or_matrix = system_or_matrix.matrix
-        self.matrix = sp.csr_matrix(system_or_matrix)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("system matrix must be square")
-        if _is_bordered(self.system):
-            self._lu = _BorderedOperator(self.system, lambda block, _: _splu(block))
-        else:
-            # anything else may have zero diagonal entries: COLAMD with pivoting
-            try:
-                self._lu = spla.splu(self.matrix.tocsc())
-            except RuntimeError as exc:
-                raise SingularSystemError(f"singular system: {exc}") from exc
+    def __init__(self, system: AssembledSystem):
+        self.system = system
+        self._lu = _BorderedOperator(system, lambda block, _: _splu(block))
 
     def solution(self) -> Solution:
         """Direct solve; the residual is recomputed against the full system."""
-        if self.system is None:
-            raise ValueError("a bare matrix has no right-hand side to solve for")
         return _solution(self.system, self._lu.solve(self.system.rhs))
 
     def condition(self, seed: int = 0) -> float:
         """2-norm condition estimate via power iteration on A A^T and its
         inverse (30 iterations, 1e-3 relative-change stop).  A non-converged
         estimate is returned as-is and logged as approximate."""
-        a = self.matrix
+        a = self.system.matrix
         rng = np.random.default_rng(seed)
         n = a.shape[0]
         sigma_max_sq, conv_hi = _power_iteration(lambda v: a @ (a.T @ v), n, rng)
@@ -253,32 +232,13 @@ class Factorization:
         return float(np.sqrt(sigma_max_sq * inv_sigma_min_sq))
 
 
-def factorize(system_or_matrix) -> Factorization:
-    """Factorize an assembled system or a bare square matrix; an existing
-    Factorization is returned as it is."""
-    if isinstance(system_or_matrix, Factorization):
-        return system_or_matrix
-    return Factorization(system_or_matrix)
-
-
 def solve(system) -> Solution:
-    """Solve an assembled system once: a bordered one by block-preconditioned
-    GMRES, any other through its Factorization.  A Factorization is solved
-    with its own factor."""
+    """Solve an assembled system once by block-preconditioned GMRES; a
+    Factorization is solved with its own factor."""
     if isinstance(system, Factorization):
         return system.solution()
-    if not _is_bordered(system):
-        return Factorization(system).solution()
     op = _BorderedOperator(system, _BlockGMRES)
     return _solution(system, op.solve(system.rhs), op.inner.iterations)
-
-
-def _is_bordered(system) -> bool:
-    """Whether `system` is square with the assembled layout's multiplier."""
-    if not isinstance(system, AssembledSystem):
-        return False
-    lay = system.layout
-    return system.matrix.shape == (lay.total, lay.total) and lay.n_p > 0
 
 
 def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
@@ -286,9 +246,8 @@ def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
     full bordered system."""
     lay = system.layout
     residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
-    u = np.stack([x[lay.u_slice(c)] for c in range(3)]) if lay.n_u else np.zeros((3, 0))
     return Solution(
-        u_coeffs=u,
+        u_coeffs=np.stack([x[lay.u_slice(c)] for c in range(3)]),
         p_coeffs=x[lay.p_slice],
         multiplier=float(x[lay.multiplier_index]),
         residual_norm=residual,
@@ -315,7 +274,7 @@ def _power_iteration(apply_op, n, rng, max_iter=30, rtol=1e-3):
     return estimate, converged
 
 
-def estimate_condition(system_or_matrix, seed: int = 0) -> float:
-    """2-norm condition estimate of an assembled system, a bare matrix, or a
-    Factorization of either; see Factorization.condition."""
-    return factorize(system_or_matrix).condition(seed)
+def estimate_condition(factorization: Factorization, seed: int = 0) -> float:
+    """2-norm condition estimate of a factorized system; see
+    Factorization.condition."""
+    return factorization.condition(seed)

@@ -27,7 +27,7 @@ from .assembly import (
 from .cut_surface import build_surface
 from .geometry import fd_gradient
 from .mesh import build_background, extract_active, refine_uniform
-from .solver import estimate_condition, factorize, solve
+from .solver import Factorization, estimate_condition, solve
 from .verification import CaseConfig, ManufacturedSolution
 
 __all__ = [
@@ -123,16 +123,15 @@ def geometric_rate_suite(
     return result
 
 
-def _lemma_ratios(active, surface, h, stab_kind, tau, alpha, n_samples, rng):
+def _lemma_ratios(active, surface, stab_kind, tau, alpha, n_samples, rng):
     """Max measured ratios over random P1 coefficient vectors."""
+    h = active.h
     space = fe_space.build_space(active, 1)
     mass_bulk = assemble_bulk_mass(space, active)
     ds = build_surface(active, surface, k_g=1, quad_degree=4)
     mass_surf = assemble_surface_mass(space, ds)
     stiff_tan = assemble_surface_stiffness(space, ds, tangential=True)
-    stab = assemble_stabilization(
-        space, active, surface, stab_kind, tau, alpha, h, k_g=1
-    )
+    stab = assemble_stabilization(space, ds, stab_kind, tau, alpha)
     load = surface_load_vector(space, ds)
     area = ds.total_area
 
@@ -182,7 +181,7 @@ def lemma_ratio_suite(
             mesh = meshes[level]
             active = extract_active(mesh, surface.signed_distance(mesh.vertices))
             scaled[level], poin[level] = _lemma_ratios(
-                active, surface, mesh.h, kind, tau, alpha, n_samples, rng
+                active, surface, kind, tau, alpha, n_samples, rng
             )
         first, last = levels[0], levels[-1]
         result.check(
@@ -229,13 +228,11 @@ def positioning_suite(
             system = assemble(
                 (space, space),
                 ds,
-                active,
-                surface,
                 (exact.f_field, exact.g_field),
                 AssemblyParams(stab=kind, tau=tau, alpha=alpha),
             )
             # one factorization serves both the solve and the estimate
-            lu = factorize(system)
+            lu = Factorization(system)
             solution = solve(lu)
             rel = solution.residual_norm / np.linalg.norm(system.rhs)
             max_rel_residual[kind] = max(max_rel_residual[kind], rel)

@@ -270,14 +270,7 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     vspace = fe_space.build_space(active, config.k_u)
     pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
     params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
-    system = assemble(
-        (vspace, pspace),
-        ds,
-        active,
-        surface,
-        (exact.f_field, exact.g_field),
-        params,
-    )
+    system = assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), params)
     solution = solve(system)
     log.info(
         "%d unknowns: %d GMRES iterations, relative residual %.3e",

@@ -72,14 +72,77 @@ def shape_tet(tet_verts, order, x):
     return values, grads
 
 
+def barycentric_coords(tet_vertices, points):
+    """Barycentric coordinates of physical points, batched.
+
+    tet_vertices: (..., 4, 3), points: (..., 3) -> (..., 4).
+    """
+    v = np.asarray(tet_vertices, dtype=float)
+    p = np.asarray(points, dtype=float)
+    edges = np.stack([v[..., k, :] - v[..., 0, :] for k in (1, 2, 3)], axis=-1)
+    lam123 = np.linalg.solve(edges, (p - v[..., 0, :])[..., None])[..., 0]
+    return np.concatenate([1.0 - lam123.sum(axis=-1, keepdims=True), lam123], axis=-1)
+
+
+def interpolant_value(tet_verts, values, order, x):
+    """Value of the nodal level-set interpolant (own formulas)."""
+    basis, _ = shape_tet(tet_verts, order, x)
+    return values @ basis
+
+
 def interpolant_gradient(tet_verts, values, order, x):
     """Gradient of the nodal level-set interpolant (own formulas)."""
     _, grads = shape_tet(tet_verts, order, x)
     return values @ grads
 
 
-def oracle_assemble(vspace, pspace, ds, active, surface, data, kind, tau, alpha):
-    """Dense global matrix and rhs of the expanded stabilized system."""
+def tet_nodes(tet_verts, order):
+    """The P1 (4) or P2 (10) nodes of one tet: vertices, then edge midpoints."""
+    tet_verts = np.asarray(tet_verts, dtype=float)
+    if order == 1:
+        return tet_verts
+    mids = [0.5 * (tet_verts[a] + tet_verts[b]) for a, b in TET_EDGE_PAIRS]
+    return np.vstack([tet_verts, mids])
+
+
+def lift(x0, tet_verts, values, order, direction, h):
+    """Move x0 along `direction` onto the zero set of one tet's interpolant.
+
+    The interpolant restricted to the line x0 + t d is a polynomial
+    a t^2 + b t + c, read off its values at t = -h, 0, h.  The root nearest
+    to x0 is 2c / (-b - sign(b) sqrt(b^2 - 4ac)), which also covers a = 0;
+    it must lie within |t| <= h.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    lo, c, hi = (interpolant_value(tet_verts, values, order, x0 + t * d) for t in (-h, 0.0, h))
+    b = (hi - lo) / (2.0 * h)
+    a = (hi + lo - 2.0 * c) / (2.0 * h * h)
+    disc = b * b - 4.0 * a * c
+    assert disc >= 0.0, "no real root on the line"
+    t = 2.0 * c / (-b - np.copysign(np.sqrt(disc), b))
+    assert abs(t) <= h, "no root within |t| <= h"
+    return x0 + t * d
+
+
+def dof_coords(space):
+    """Coordinates of a space's DOFs: each tet's nodes scattered through its
+    `cell_dofs`."""
+    coords = np.zeros((space.global_dofs, 3))
+    for tet_verts, dofs in zip(space.active_mesh.tet_vertices, space.cell_dofs):
+        coords[dofs] = tet_nodes(tet_verts, space.order)
+    return coords
+
+
+def interpolate(space, field):
+    """Nodal interpolation of a field mapping (n, 3) points to (n,) values."""
+    return np.asarray(field(dof_coords(space)), dtype=float)
+
+
+def oracle_assemble(vspace, pspace, ds, data, kind, tau, alpha):
+    """Dense global matrix and rhs of the expanded stabilized system, read
+    from the surface's cell arrays (planar cells only)."""
+    active, surface = ds.active, ds.surface
     n_u = vspace.global_dofs
     n_p = pspace.global_dofs
     total = 3 * n_u + n_p + 1
@@ -90,11 +153,9 @@ def oracle_assemble(vspace, pspace, ds, active, surface, data, kind, tau, alpha)
     k_g = ds.k_g
 
     tri_xi, tri_w = triangle_points()
-    for cell in ds.cells:
-        assert cell.order == 1, "oracle covers planar cells"
-        v0, v1, v2 = cell.vertices
+    assert ds.nodes.shape[1] == 3, "oracle covers planar cells"
+    for (v0, v1, v2), tet_pos in zip(ds.nodes, ds.cell_active):
         area = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0))
-        tet_pos = int(np.flatnonzero(ds.active.active_tets == cell.parent_tet)[0])
         tet_verts = active.tet_vertices[tet_pos]
         vdofs = vspace.cell_dofs[tet_pos]
         pdofs = pspace.cell_dofs[tet_pos]
@@ -143,14 +204,7 @@ def oracle_assemble(vspace, pspace, ds, active, surface, data, kind, tau, alpha)
         vol = abs(np.linalg.det((tet_verts[1:] - tet_verts[0]).T)) / 6.0
         nodal = None
         if kind == "normal":
-            if k_g == 1:
-                nodes = tet_verts
-            else:
-                mids = np.array(
-                    [0.5 * (tet_verts[a] + tet_verts[b]) for a, b in TET_EDGE_PAIRS]
-                )
-                nodes = np.vstack([tet_verts, mids])
-            nodal = np.atleast_1d(surface.signed_distance(nodes))
+            nodal = np.atleast_1d(surface.signed_distance(tet_nodes(tet_verts, k_g)))
         for (bx, by, bz), wq in zip(tet_xi, tet_w):
             x = (
                 tet_verts[0]

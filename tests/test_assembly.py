@@ -19,9 +19,9 @@ from surfdarcy.fe_space import build_space
 from surfdarcy.geometry import ImplicitSurface, Torus
 from surfdarcy.mesh import ActiveMesh, build_background, extract_active, refine_uniform
 from surfdarcy.quadrature import tet_rule
-from surfdarcy.verification import ManufacturedSolution
+from surfdarcy.verification import ManufacturedSolution, case_config
 
-from oracle import TET_EDGE_PAIRS, interpolant_gradient, oracle_assemble, shape_tet
+from oracle import interpolant_gradient, oracle_assemble, shape_tet, tet_nodes
 
 
 class PlaneSurface(ImplicitSurface):
@@ -105,10 +105,8 @@ def test_single_element_matches_oracle(orders, kind):
     pspace = build_space(active, orders[1])
     data = _const_data()
     params = AssemblyParams(stab=kind, tau=0.1, alpha=2.0)
-    system = assemble((vspace, pspace), ds, active, surface, data, params)
-    dense, rhs = oracle_assemble(
-        vspace, pspace, ds, active, surface, data, kind.value, 0.1, 2.0
-    )
+    system = assemble((vspace, pspace), ds, data, params)
+    dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.1, 2.0)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
 
@@ -121,10 +119,8 @@ def test_two_tets_match_oracle(orders, kind):
     pspace = build_space(active, orders[1])
     data = _const_data()
     params = AssemblyParams(stab=kind, tau=0.2, alpha=1.5)
-    system = assemble((vspace, pspace), ds, active, surface, data, params)
-    dense, rhs = oracle_assemble(
-        vspace, pspace, ds, active, surface, data, kind.value, 0.2, 1.5
-    )
+    system = assemble((vspace, pspace), ds, data, params)
+    dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.2, 1.5)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
 
@@ -153,10 +149,7 @@ def assembled_level1(torus_level1):
     exact = ManufacturedSolution()
     vspace = build_space(active, 1)
     pspace = build_space(active, 1)
-    system = assemble(
-        (vspace, pspace), ds, active, torus, (exact.f_field, exact.g_field),
-        AssemblyParams(),
-    )
+    system = assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), AssemblyParams())
     return system, vspace, pspace
 
 
@@ -217,76 +210,55 @@ class TestAssembledStructure:
         pspace = build_space(other, 1)
         exact = ManufacturedSolution()
         with pytest.raises(AssemblyError):
-            assemble(
-                (vspace, pspace), ds, other, torus,
-                (exact.f_field, exact.g_field), AssemblyParams(),
-            )
+            assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), AssemblyParams())
+        with pytest.raises(AssemblyError):
+            assemble_stabilization(vspace, ds, Stabilization.FULL_GRADIENT, 0.1, 2.0)
 
     def test_nonpositive_tau_raises(self, torus_level1):
         torus, active, ds = torus_level1
         vspace = build_space(active, 1)
         with pytest.raises(AssemblyError):
             assemble_stabilization(
-                vspace, active, torus, Stabilization.FULL_GRADIENT,
-                tau=0.0, alpha=2.0, h=active.h, k_g=1,
+                vspace, ds, Stabilization.FULL_GRADIENT, tau=0.0, alpha=2.0
             )
 
 
 class TestStabilization:
     def test_constant_in_kernel(self, torus_level1):
-        torus, active, _ = torus_level1
+        torus, active, ds = torus_level1
         space = build_space(active, 1)
         ones = np.ones(space.global_dofs)
         for kind in Stabilization:
-            stab = assemble_stabilization(
-                space, active, torus, kind, 0.1, 2.0, active.h, k_g=1
-            )
+            stab = assemble_stabilization(space, ds, kind, 0.1, 2.0)
             assert abs(ones @ (stab @ ones)) < 1e-12
 
     def test_normal_bounded_by_full(self, torus_level1):
-        torus, active, _ = torus_level1
+        torus, active, ds = torus_level1
         space = build_space(active, 1)
-        full = assemble_stabilization(
-            space, active, torus, Stabilization.FULL_GRADIENT, 0.1, 2.0, active.h, 1
-        )
-        normal = assemble_stabilization(
-            space, active, torus, Stabilization.NORMAL_GRADIENT, 0.1, 2.0, active.h, 1
-        )
+        full = assemble_stabilization(space, ds, Stabilization.FULL_GRADIENT, 0.1, 2.0)
+        normal = assemble_stabilization(space, ds, Stabilization.NORMAL_GRADIENT, 0.1, 2.0)
         rng = np.random.default_rng(12)
         for _ in range(30):
             x = rng.standard_normal(space.global_dofs)
             assert x @ (normal @ x) <= x @ (full @ x) + 1e-13
 
     def test_tau_and_h_scaling(self, torus_level1):
-        torus, active, _ = torus_level1
+        torus, active, ds = torus_level1
         space = build_space(active, 1)
-        base = assemble_stabilization(
-            space, active, torus, Stabilization.FULL_GRADIENT, 0.1, 2.0, active.h, 1
-        )
-        doubled = assemble_stabilization(
-            space, active, torus, Stabilization.FULL_GRADIENT, 0.2, 2.0, active.h, 1
-        )
+        full = Stabilization.FULL_GRADIENT
+        base = assemble_stabilization(space, ds, full, 0.1, 2.0)
+        doubled = assemble_stabilization(space, ds, full, 0.2, 2.0)
         npt.assert_allclose(doubled.toarray(), 2.0 * base.toarray(), rtol=1e-14)
-        halved_h = assemble_stabilization(
-            space, active, torus, Stabilization.FULL_GRADIENT, 0.1, 0.5,
-            active.h / 2, 1,
-        )
-        ref = assemble_stabilization(
-            space, active, torus, Stabilization.FULL_GRADIENT, 0.1, 0.5, active.h, 1
-        )
-        # h^(alpha-1) with alpha = 0.5: halving h scales entries by 2^(1-alpha)
-        npt.assert_allclose(
-            halved_h.toarray(), 2.0 ** (1 - 0.5) * ref.toarray(), rtol=1e-13
-        )
+        # h^(alpha-1) with h = active.h: one unit more of alpha is one factor h
+        lower = assemble_stabilization(space, ds, full, 0.1, 0.5)
+        higher = assemble_stabilization(space, ds, full, 0.1, 1.5)
+        npt.assert_allclose(higher.toarray(), active.h * lower.toarray(), rtol=1e-13)
 
     def test_alpha_out_of_range(self, torus_level1):
-        torus, active, _ = torus_level1
+        torus, active, ds = torus_level1
         space = build_space(active, 1)
         with pytest.raises(AssemblyError):
-            assemble_stabilization(
-                space, active, torus, Stabilization.FULL_GRADIENT, 0.1, 2.5,
-                active.h, 1,
-            )
+            assemble_stabilization(space, ds, Stabilization.FULL_GRADIENT, 0.1, 2.5)
 
 
 class TestHelpers:
@@ -338,19 +310,16 @@ def test_quadratic_geometry_normal_stabilization_matches_oracle(order):
     # tet, so the integrand is not polynomial: the oracle evaluates it
     # directly at the library's own quadrature points
     active, surface, _ = _two_tet_setup()
+    ds = build_surface(active, surface, k_g=2, quad_degree=4)
     space = build_space(active, order)
     tau, alpha = 0.2, 1.5
-    stab = assemble_stabilization(
-        space, active, surface, Stabilization.NORMAL_GRADIENT, tau, alpha, active.h, k_g=2
-    )
+    stab = assemble_stabilization(space, ds, Stabilization.NORMAL_GRADIENT, tau, alpha)
     bary, w = tet_rule(max(2 * (order - 1), 1), positive=True)
     dense = np.zeros((space.global_dofs, space.global_dofs))
     scale = tau * active.h ** (alpha - 1.0)
     for tet_verts, dofs in zip(active.tet_vertices, space.cell_dofs):
         vol = abs(np.linalg.det((tet_verts[1:] - tet_verts[0]).T)) / 6.0
-        mids = [0.5 * (tet_verts[a] + tet_verts[b]) for a, b in TET_EDGE_PAIRS]
-        nodes = np.vstack([tet_verts, mids])
-        nodal = surface.signed_distance(nodes)
+        nodal = surface.signed_distance(tet_nodes(tet_verts, 2))
         for lam, wq in zip(bary, w):
             x = lam @ tet_verts
             grad_phi = interpolant_gradient(tet_verts, nodal, 2, x)
@@ -358,3 +327,24 @@ def test_quadratic_geometry_normal_stabilization_matches_oracle(order):
             comp = grads @ (grad_phi / np.linalg.norm(grad_phi))
             dense[np.ix_(dofs, dofs)] += scale * wq * vol * np.outer(comp, comp)
     npt.assert_allclose(stab.toarray(), dense, atol=1e-12)
+
+
+def test_assemble_evaluates_no_signed_distance(monkeypatch):
+    # phi_h is interpolated once, by build_surface; the normal-gradient
+    # stabilization of both spaces reads it from the discrete surface
+    config = case_config(6)
+    mesh = build_background(config.box, config.n_cells0)
+    exact = ManufacturedSolution()
+    active = extract_active(mesh, exact.surface.signed_distance(mesh.vertices))
+    ds = build_surface(active, exact.surface, config.k_g, config.quad_degree)
+    spaces = (build_space(active, config.k_u), build_space(active, config.k_p))
+    params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
+    points = []
+    signed_distance = ImplicitSurface.signed_distance
+    monkeypatch.setattr(
+        ImplicitSurface,
+        "signed_distance",
+        lambda self, x: points.append(len(np.atleast_2d(x))) or signed_distance(self, x),
+    )
+    assemble(spaces, ds, (exact.f_field, exact.g_field), params)
+    assert points == []

@@ -169,6 +169,15 @@ def test_out_of_range_count_is_config_error(argv, tmp_path, monkeypatch, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("ncells0", ["1", "2"])
+def test_grid_too_coarse_for_the_surface_is_config_error(ncells0, capsys, splu_calls):
+    argv = ["converge", "--case", "1", "--levels", "1", "--ncells0", ncells0]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: surface not resolved" in err
+    assert not splu_calls
+
+
 def test_config_file_equals_form_is_applied(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tau = -1\n")

@@ -3,12 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from surfdarcy.cut_surface import (
-    CutSurfaceError,
     TetInterpolant,
     _attach_quadrature,
+    _line_roots,
+    _march_batch,
     build_surface,
-    lift_point,
-    marching_tet,
     surface_mean,
     with_quadrature,
 )
@@ -16,7 +15,7 @@ from surfdarcy.geometry import Torus
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
 from surfdarcy.quadrature import triangle_rule
 
-from oracle import cell_quadrature
+from oracle import barycentric_coords, cell_quadrature, interpolant_gradient, lift, tet_nodes
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 TORUS_AREA = 4 * np.pi**2 * 1.0 * 0.5
@@ -39,35 +38,39 @@ def active_l1(torus):
     return _active(torus, 1)
 
 
+def _march_one(tet, phi):
+    """Marching tetrahedra on a (1, 4, 3) batch: the cells' vertex
+    coordinates (nc, 3, 3) and their orientation flips."""
+    verts = np.asarray(tet, dtype=float).reshape(1, 4, 3)
+    cell_tet, lam, flips = _march_batch(verts, np.asarray(phi, dtype=float).reshape(1, 4))
+    assert np.all(cell_tet == 0)
+    return lam @ verts[0], flips
+
+
 class TestMarchingTet:
     def test_one_negative_vertex(self):
-        tris = marching_tet(REF_TET, [-1.0, 1.0, 1.0, 1.0])
+        tris, _ = _march_one(REF_TET, [-1.0, 1.0, 1.0, 1.0])
         assert len(tris) == 1
         expected = {(0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5)}
         got = {tuple(np.round(v, 12)) for v in tris[0]}
         assert got == expected
 
     def test_two_two_split(self):
-        tris = marching_tet(REF_TET, [-1.0, -1.0, 1.0, 1.0])
+        phi = np.array([-1.0, -1.0, 1.0, 1.0])
+        tris, _ = _march_one(REF_TET, phi)
         assert len(tris) == 2
         for tri in tris:
             # all vertices on tet edges where the linear level set vanishes
-            for v in tri:
-                lam = np.array([1 - v.sum() + 0.0, *v])  # barycentric on REF_TET
-                phi = np.array([-1.0, -1.0, 1.0, 1.0])
+            for lam in barycentric_coords(REF_TET, tri):
                 assert abs(lam @ phi) < 1e-12
 
     def test_uniform_sign_empty(self):
-        assert marching_tet(REF_TET, [1.0, 1.0, 1.0, 1.0]) == []
-        assert marching_tet(REF_TET, [-1.0, -1.0, -1.0, -1.0]) == []
+        assert len(_march_one(REF_TET, [1.0, 1.0, 1.0, 1.0])[0]) == 0
+        assert len(_march_one(REF_TET, [-1.0, -1.0, -1.0, -1.0])[0]) == 0
 
     def test_zero_counts_positive(self):
         # (0, +, +, +) is uniform positive under the tie-break
-        assert marching_tet(REF_TET, [0.0, 1.0, 1.0, 1.0]) == []
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(CutSurfaceError):
-            marching_tet(REF_TET, [np.nan, 1.0, 1.0, 1.0])
+        assert len(_march_one(REF_TET, [0.0, 1.0, 1.0, 1.0])[0]) == 0
 
     def test_shared_facet_bit_exact(self):
         # two tets sharing a face produce identical edge roots on that face
@@ -81,8 +84,8 @@ class TestMarchingTet:
             phi_shared = rng.standard_normal(3)
             tet1 = np.vstack([shared, apex1])
             tet2 = np.vstack([shared, apex2])
-            tris1 = marching_tet(tet1, [*phi_shared, 1.0])
-            tris2 = marching_tet(tet2, [*phi_shared, 1.0])
+            tris1, _ = _march_one(tet1, [*phi_shared, 1.0])
+            tris2, _ = _march_one(tet2, [*phi_shared, 1.0])
             verts1 = {tuple(v) for tri in tris1 for v in tri}
             verts2 = {tuple(v) for tri in tris2 for v in tri}
             on_face1 = {v for v in verts1 if v in verts2}
@@ -93,22 +96,47 @@ class TestMarchingTet:
 
     def test_area_additivity_2v2(self):
         # quad split along either diagonal conserves total area
-        tris = marching_tet(REF_TET, [-0.3, -1.4, 0.8, 0.9])
+        tris, _ = _march_one(REF_TET, [-0.3, -1.4, 0.8, 0.9])
         area = sum(
             0.5 * np.linalg.norm(np.cross(t[1] - t[0], t[2] - t[0])) for t in tris
         )
         assert area > 0
 
+    @pytest.mark.parametrize(
+        "phi", [[-1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, -1.0], [-0.3, -1.4, 0.8, 0.9]]
+    )
+    def test_orientation_points_to_positive_side(self, phi):
+        # the flipped cell normal points from phi < 0 towards phi >= 0
+        tris, flips = _march_one(REF_TET, phi)
+        grad = np.linalg.solve(
+            np.vstack([np.ones(4), REF_TET.T]).T, np.asarray(phi)
+        )[1:]  # the gradient of the vertex-linear level set
+        for tri, flip in zip(tris, flips):
+            normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+            assert (-1.0 if flip else 1.0) * normal @ grad > 0.0
+
 
 class TestLiftPoint:
+    """The lift of a point onto the zero set of phi_h along a ray, as
+    `_line_roots` computes it for every node of the quadratic surface."""
+
+    @staticmethod
+    def _lift(interp, x0, direction, h=1.0):
+        lam0 = barycentric_coords(interp.verts, x0)
+        dlam = interp.lam_grads @ np.asarray(direction, dtype=float)
+        t, resolved = _line_roots(interp, lam0, dlam, h)
+        return x0 + t * np.asarray(direction), bool(resolved)
+
     def test_already_on_zero_set(self):
         interp = TetInterpolant.of_field(REF_TET, 2, lambda p: p[:, 0] - 0.25)
-        out = lift_point(np.array([0.25, 0.2, 0.2]), interp, np.array([1.0, 0, 0]))
+        out, resolved = self._lift(interp, np.array([0.25, 0.2, 0.2]), [1.0, 0, 0])
+        assert resolved
         npt.assert_allclose(out, [0.25, 0.2, 0.2], atol=1e-13)
 
     def test_affine_matches_linear_interpolation(self):
         interp = TetInterpolant.of_field(REF_TET, 2, lambda p: 2 * p[:, 0] - 0.5)
-        out = lift_point(np.array([0.1, 0.3, 0.1]), interp, np.array([1.0, 0, 0]))
+        out, resolved = self._lift(interp, np.array([0.1, 0.3, 0.1]), [1.0, 0, 0])
+        assert resolved
         npt.assert_allclose(out, [0.25, 0.3, 0.1], atol=1e-13)
 
     def test_sphere_root(self):
@@ -116,22 +144,26 @@ class TestLiftPoint:
         interp = TetInterpolant.of_field(
             verts, 2, lambda p: np.einsum("nx,nx->n", p, p) - 1.0
         )
-        out = lift_point(np.array([0.9, 0.0, 0.0]), interp, np.array([1.0, 0, 0]))
+        out, resolved = self._lift(interp, np.array([0.9, 0.0, 0.0]), [1.0, 0, 0])
+        assert resolved
         npt.assert_allclose(out, [1.0, 0, 0], atol=1e-12)
 
-    def test_no_root_raises(self):
+    def test_no_root_is_unresolved(self):
         interp = TetInterpolant.of_field(REF_TET, 2, lambda p: p[:, 0] + 10.0)
-        with pytest.raises(CutSurfaceError, match="lift failure"):
-            lift_point(np.array([0.2, 0.2, 0.2]), interp, np.array([1.0, 0, 0]), h=0.5)
+        x0 = np.array([0.2, 0.2, 0.2])
+        out, resolved = self._lift(interp, x0, [1.0, 0, 0], h=0.5)
+        assert not resolved
+        npt.assert_array_equal(out, x0)
 
     def test_linear_interpolant(self):
         interp = TetInterpolant.of_field(REF_TET, 1, lambda p: 2 * p[:, 0] - 0.5)
-        out = lift_point(np.array([0.1, 0.3, 0.1]), interp, np.array([1.0, 0, 0]))
+        out, resolved = self._lift(interp, np.array([0.1, 0.3, 0.1]), [1.0, 0, 0])
+        assert resolved
         npt.assert_allclose(out, [0.25, 0.3, 0.1], atol=1e-13)
 
     def test_reproduces_quadratic_surface_nodes(self, torus):
         # each node of the k_g = 2 surface is its base node lifted along the
-        # normal of its own cell's quadratic phi_h
+        # normal of its own cell's quadratic phi_h, here by the oracle's lift
         active = _active(torus, 0)
         base = build_surface(active, torus, k_g=1)
         curved = build_surface(active, torus, k_g=2)
@@ -142,10 +174,10 @@ class TestLiftPoint:
         tet_verts = active.tet_vertices[base.cell_active]
         for c in range(0, base.n_cells, 4):  # every 4th of the 3,304 cells
             verts = tet_verts[c]
-            interp = TetInterpolant.of_field(verts, 2, torus.signed_distance)
+            nodal = torus.signed_distance(tet_nodes(verts, 2))
             for i, x0 in enumerate(lam6[c] @ verts):
-                grad = interp.gradient(x0)
-                out = lift_point(x0, interp, grad / np.linalg.norm(grad), h=active.h)
+                grad = interpolant_gradient(verts, nodal, 2, x0)
+                out = lift(x0, verts, nodal, 2, grad / np.linalg.norm(grad), active.h)
                 npt.assert_allclose(out, curved.nodes[c, i], rtol=0, atol=1e-14)
 
 
@@ -156,19 +188,36 @@ class TestTetInterpolant:
         rng = np.random.default_rng(4)
         lam = rng.dirichlet(np.ones(4), size=20)
         pts = lam @ REF_TET
-        npt.assert_allclose(interp.value(pts), field(pts), atol=1e-13)
+        npt.assert_allclose(interp.value_at(lam), field(pts), atol=1e-13)
 
     def test_gradient_matches_fd(self):
         field = lambda p: p[:, 0] ** 2 - 0.5 * p[:, 1] * p[:, 0] + p[:, 2]
         interp = TetInterpolant.of_field(REF_TET, 2, field)
         x = np.array([0.2, 0.3, 0.1])
-        grad = interp.gradient(x)
+        value = lambda y: interp.value_at(barycentric_coords(REF_TET, y))
+        grad = interp.gradient_at(barycentric_coords(REF_TET, x))
         step = 1e-6
         for c in range(3):
             e = np.zeros(3)
             e[c] = step
-            fd = (interp.value(x + e) - interp.value(x - e)) / (2 * step)
+            fd = (value(x + e) - value(x - e)) / (2 * step)
             assert grad[c] == pytest.approx(fd, abs=1e-8)
+
+    def test_surface_holds_the_interpolant_it_cut(self, torus, active_l1):
+        # phi_h on every active tet: the distance at the tet's nodes, and
+        # zero at the surface nodes of its cells
+        for k_g in (1, 2):
+            ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+            assert ds.phi.order == k_g
+            npt.assert_array_equal(ds.phi.verts, active_l1.tet_vertices)
+            for t in range(0, len(active_l1), 97):
+                nodes = tet_nodes(active_l1.tet_vertices[t], k_g)
+                npt.assert_allclose(ds.phi.values[t], torus.signed_distance(nodes), atol=1e-15)
+            cells = ds.cell_active
+            cell_phi = TetInterpolant(
+                ds.phi.verts[cells, None], k_g, ds.phi.values[cells, None]
+            )
+            assert np.abs(cell_phi.value_at(ds.node_lambdas)).max() < 1e-11
 
 
 class TestPlanarSurface:
@@ -208,8 +257,6 @@ class TestTorusSurface:
     def test_quad_points_in_parent_tet(self, torus, active_l1):
         ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
         verts = active_l1.tet_vertices[ds.point_active]
-        from surfdarcy.shapes import barycentric_coords
-
         lam = barycentric_coords(verts, ds.points)
         tol = 1e-10 * active_l1.h
         assert lam.min() > -tol and lam.max() < 1 + tol
@@ -217,14 +264,11 @@ class TestTorusSurface:
     def test_weights_positive_sum_to_area(self, torus, active_l1):
         ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
         assert np.all(ds.weights > 0)
-        for cell in ds.cells[:50]:
+        for nodes, weights in zip(ds.nodes[:50], ds.qp_weights[:50]):
             tri_area = 0.5 * np.linalg.norm(
-                np.cross(
-                    cell.vertices[1] - cell.vertices[0],
-                    cell.vertices[2] - cell.vertices[0],
-                )
+                np.cross(nodes[1] - nodes[0], nodes[2] - nodes[0])
             )
-            assert cell.area == pytest.approx(tri_area, rel=1e-12)
+            assert weights.sum() == pytest.approx(tri_area, rel=1e-12)
 
     def test_normals_unit_and_oriented(self, torus, active_l1):
         for k_g in (1, 2):
@@ -262,8 +306,6 @@ class TestTorusSurface:
         # the quasi-normal node lift leaves the parent tet by at most O(h^2)
         # in distance, i.e. O(h) in barycentric units, shrinking under
         # refinement; first-order cells stay inside exactly
-        from surfdarcy.shapes import barycentric_coords
-
         mins = []
         hs = []
         for level in (1, 2):
@@ -293,8 +335,8 @@ class TestTorusSurface:
     def test_pullback_orientation(self, torus, active_l1):
         ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
         # closest points of one cell's quad points are pairwise distinct
-        for cell in ds.cells[:20]:
-            proj = torus.closest_point(cell.quad_points)
+        for quad_points in ds.qp_points[:20]:
+            proj = torus.closest_point(quad_points)
             dists = np.linalg.norm(proj[:, None] - proj[None, :], axis=2)
             assert dists[np.triu_indices(len(proj), 1)].min() > 0
 
