@@ -8,6 +8,7 @@ from .assembly import (
     SystemLayout,
     assemble,
     assemble_stabilization,
+    stabilize,
 )
 from .cut_surface import (
     DiscreteSurface,

@@ -1,18 +1,17 @@
 """Assembly of the stabilized primal mixed system for surface Darcy flow.
 
-The surface bilinear form is assembled in its expanded symmetric-plus-skew
-form
+`assemble` builds the surface form, in its expanded symmetric-plus-skew form
 
     1/2 (u, v) + 1/2 (grad p, grad q) + 1/2 (grad p, v) - 1/2 (u, grad q)
 
 with full 3-component gradients of the bulk basis functions evaluated at the
 discrete-surface quadrature points (the tangential condition is enforced only
-weakly).  A volume stabilization over all active tets is added per scalar
-field: tau * h^(alpha-1) times either the full-gradient or the
-normal-gradient penalty, with the bulk normal taken from the gradient of the
-discrete level set phi_h whose zero set is the discrete surface.  The zero-mean
-pressure constraint is appended as a single symmetric Lagrange multiplier
-row/column.
+weakly), and appends the zero-mean pressure constraint as a single symmetric
+Lagrange multiplier row/column.  `stabilize` adds the volume stabilization
+over all active tets per scalar field: tau * h^(alpha-1) times either the
+full-gradient or the normal-gradient penalty, with the bulk normal taken from
+the gradient of the discrete level set phi_h whose zero set is the discrete
+surface.
 
 Every element integral is one call of the weighted-Gram kernel `_gram`,
 sum_q w_q a_i(q) b_j(q) per cell, taken as the batched matmul (w a)^T b: mass
@@ -22,7 +21,7 @@ add one such sum per component (`_grad_gram`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "SystemLayout",
     "AssembledSystem",
     "assemble",
+    "stabilize",
     "assemble_stabilization",
     "assemble_surface_mass",
     "assemble_surface_stiffness",
@@ -235,13 +235,9 @@ def _bulk_normals(ds: DiscreteSurface, bary):
     return phi.normal_at(bary, ds.surface.surface_normal)
 
 
-def assemble(
-    spaces,
-    ds: DiscreteSurface,
-    data,
-    params: AssemblyParams = AssemblyParams(),
-) -> AssembledSystem:
-    """Assemble matrix and right-hand side of the discrete problem.
+def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
+    """Assemble matrix and right-hand side of the unstabilized surface form;
+    `stabilize` adds the volume stabilization.
 
     spaces: (velocity_space, pressure_space) on the active mesh of ds; data:
     (f, g) surface fields, extended off the surface through the closest-point
@@ -250,8 +246,6 @@ def assemble(
     vspace, pspace = spaces
     if vspace.active_mesh is not ds.active or pspace.active_mesh is not ds.active:
         raise AssemblyError("spaces and discrete surface do not match")
-    if params.tau <= 0.0:
-        raise AssemblyError("stabilization parameter tau must be positive")
 
     f, g = data
     n_u = vspace.global_dofs
@@ -276,11 +270,6 @@ def assemble(
         _scatter(coupling[..., c], udofs, pdofs, (n_u, n_p)) for c in range(3)
     ]
 
-    stab_u = assemble_stabilization(vspace, ds, params.stab, params.tau, params.alpha)
-    stab_p = stab_u if vspace is pspace else assemble_stabilization(
-        pspace, ds, params.stab, params.tau, params.alpha
-    )
-
     constraint = _scatter_vector(_gram(w, pvals, ones)[..., 0], pdofs, n_p)
 
     # right-hand side: f and g pulled back from one projection of the points
@@ -296,18 +285,18 @@ def assemble(
     # released before the blocks are stacked, the largest allocation here
     del uvals, pvals, pgrads, coupling, load_p
 
-    diag_u = 0.5 * mass_u + stab_u
+    half_mass_u = 0.5 * mass_u
     col = sp.csr_matrix(constraint[:, None])
     row = sp.csr_matrix(constraint[None, :])
     blocks = [
-        [diag_u, None, None, 0.5 * grad_blocks[0], None],
-        [None, diag_u, None, 0.5 * grad_blocks[1], None],
-        [None, None, diag_u, 0.5 * grad_blocks[2], None],
+        [half_mass_u, None, None, 0.5 * grad_blocks[0], None],
+        [None, half_mass_u, None, 0.5 * grad_blocks[1], None],
+        [None, None, half_mass_u, 0.5 * grad_blocks[2], None],
         [
             -0.5 * grad_blocks[0].T,
             -0.5 * grad_blocks[1].T,
             -0.5 * grad_blocks[2].T,
-            0.5 * stiff_p + stab_p,
+            0.5 * stiff_p,
             col,
         ],
         [None, None, None, row, sp.csr_matrix((1, 1))],
@@ -315,3 +304,24 @@ def assemble(
     matrix = sp.bmat(blocks, format="csr")
     return AssembledSystem(matrix=matrix, rhs=rhs, layout=layout)
 
+
+def stabilize(
+    system: AssembledSystem, spaces, ds: DiscreteSurface, params: AssemblyParams
+) -> AssembledSystem:
+    """The system with blockdiag(S_u, S_u, S_u, S_p, 0) added to its matrix,
+    S the stabilization of each space (`assemble_stabilization`).
+
+    `+` drops the diagonal-block entries that sum to zero; the other blocks
+    keep their stored zeros.  SuperLU's ordering reads this stored pattern.
+    """
+    vspace, pspace = spaces
+    stab_u = assemble_stabilization(vspace, ds, params.stab, params.tau, params.alpha)
+    stab_p = stab_u if vspace is pspace else assemble_stabilization(
+        pspace, ds, params.stab, params.tau, params.alpha
+    )
+    lay = system.layout
+    ranges = [lay.u_slice(c) for c in range(3)] + [lay.p_slice, slice(lay.total - 1, None)]
+    blocks = [[system.matrix[rows, cols] for cols in ranges] for rows in ranges]
+    for i, stab in enumerate((stab_u, stab_u, stab_u, stab_p)):
+        blocks[i][i] = blocks[i][i] + stab
+    return replace(system, matrix=sp.bmat(blocks, format="csr"))

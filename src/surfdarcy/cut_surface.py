@@ -362,7 +362,7 @@ def build_surface(
         nodes=nodes,
         node_lambdas=node_lam,
         flips=flips,
-        **_attach_quadrature(k_g, nodes, node_lam, flips, quad_degree),
+        **_attach_quadrature(k_g, nodes, node_lam, flips, *triangle_rule(quad_degree)),
     )
 
 
@@ -396,14 +396,10 @@ def _lift_cells(phi, lam3, h, exact_normal):
     return lam6, lifted
 
 
-def _attach_quadrature(k_g, nodes, node_lambdas, flips, degree, bary=None):
+def _attach_quadrature(k_g, nodes, node_lambdas, flips, bary, w):
     """Quadrature points, their barycentrics in the parent tet, weights and
-    oriented unit normals of the cell maps, as `DiscreteSurface` fields."""
-    if bary is None:
-        bary, w = triangle_rule(degree)
-    else:
-        bary = np.asarray(bary, dtype=float)
-        w = np.zeros(len(bary))
+    oriented unit normals of the cell maps at the reference rule (bary, w),
+    as `DiscreteSurface` fields."""
     if k_g == 1:
         values = shapes.tri_p1_values(bary)  # (m, 3)
         dvalues = shapes.tri_p1_dvalues(bary)  # (m, 3, 3)
@@ -437,7 +433,9 @@ def with_quadrature(ds: DiscreteSurface, degree: int) -> DiscreteSurface:
     """Same surface cells, re-sampled with a quadrature rule of another degree."""
     return replace(
         ds,
-        **_attach_quadrature(ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, degree),
+        **_attach_quadrature(
+            ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, *triangle_rule(degree)
+        ),
     )
 
 
@@ -448,7 +446,7 @@ def sample_cells(ds: DiscreteSurface, bary):
     exporting nodal data on the discrete surface.
     """
     fields = _attach_quadrature(
-        ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, degree=None, bary=bary
+        ds.k_g, ds.nodes, ds.node_lambdas, ds.flips, bary, np.zeros(len(bary))
     )
     return fields["qp_points"], fields["qp_normals"]
 

@@ -22,6 +22,7 @@ from .assembly import (
     assemble_stabilization,
     assemble_surface_mass,
     assemble_surface_stiffness,
+    stabilize,
     surface_load_vector,
 )
 from .cut_surface import build_surface
@@ -68,7 +69,7 @@ def manufactured_residual_suite(offset=(0.0, 0.0, 0.0), seed: int = 0) -> SuiteR
     result.check(gn <= 1e-10, f"forcing tangential: max |g.n| = {gn:.3e} <= 1e-10")
 
     # momentum residual with a finite-difference extension gradient of p
-    grad_pe = fd_gradient(lambda q: exact.pressure(q), pts)
+    grad_pe = fd_gradient(lambda q: surface.extend_vector(exact.pressure, q), pts)
     proj = grad_pe - np.einsum("nx,nx->n", grad_pe, normals)[:, None] * normals
     res = np.linalg.norm(u + proj - g, axis=1).max()
     result.check(res <= 1e-8, f"momentum residual: max |u + grad_S p - g| = {res:.3e} <= 1e-8")
@@ -223,14 +224,11 @@ def positioning_suite(
         surface = exact.surface
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
         ds = build_surface(active, surface, k_g=1, quad_degree=4)
-        space = fe_space.build_space(active, 1)
+        spaces = (fe_space.build_space(active, 1),) * 2
+        surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
         for kind in kinds:
-            system = assemble(
-                (space, space),
-                ds,
-                (exact.f_field, exact.g_field),
-                AssemblyParams(stab=kind, tau=tau, alpha=alpha),
-            )
+            params = AssemblyParams(stab=kind, tau=tau, alpha=alpha)
+            system = stabilize(surface_form, spaces, ds, params)
             # one factorization serves both the solve and the estimate
             lu = Factorization(system)
             solution = solve(lu)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fe_space
-from .assembly import AssemblyParams, Stabilization, assemble
+from .assembly import AssemblyParams, Stabilization, assemble, stabilize
 from .cut_surface import DiscreteSurface, build_surface, surface_mean, with_quadrature
 from .geometry import ImplicitSurface, Torus, Translated
 from .mesh import (
@@ -46,8 +46,10 @@ class ManufacturedSolution:
     """Closed-form torus solution: divergence-free tangential velocity,
     linear pressure p = z, zero source, and the matching tangential forcing.
 
-    All evaluators use extension semantics: a query point in the tubular
-    neighborhood is first projected to its closest surface point.
+    The evaluators are surface fields: they take (n, 3) points on the exact
+    surface.  A caller with points off the surface extends a field through
+    the closest-point projection, once per point set (`assemble`,
+    `compute_errors`) or with `ImplicitSurface.extend_vector`.
     """
 
     def __init__(self, R: float = 1.0, r: float = 0.5, offset=(0.0, 0.0, 0.0)):
@@ -61,14 +63,13 @@ class ManufacturedSolution:
             self.surface = torus
 
     def _on_torus(self, x):
-        """Project to the surface and undo the translation."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.surface.closest_point(pts) - self.offset, pts.ndim
+        """Undo the translation of surface points."""
+        return np.asarray(x, dtype=float) - self.offset
 
     def velocity(self, x):
-        y, _ = self._on_torus(x)
+        y = self._on_torus(x)
         s = np.hypot(y[:, 0], y[:, 1])
-        u = np.stack(
+        return np.stack(
             [
                 2.0 * y[:, 0] * y[:, 2],
                 -2.0 * y[:, 1] * y[:, 2],
@@ -76,24 +77,19 @@ class ManufacturedSolution:
             ],
             axis=1,
         )
-        return u if np.asarray(x).ndim > 1 else u[0]
 
     def pressure(self, x):
-        y, _ = self._on_torus(x)
-        p = y[:, 2]
-        return p if np.asarray(x).ndim > 1 else float(p[0])
+        return self._on_torus(x)[:, 2]
 
     def f_field(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(len(pts))
-        return out if np.asarray(x).ndim > 1 else 0.0
+        return np.zeros(len(x))
 
     def g_field(self, x):
-        y, _ = self._on_torus(x)
+        y = self._on_torus(x)
         s = np.hypot(y[:, 0], y[:, 1])
         a = (s - self.R) ** 2 + y[:, 2] ** 2  # equals r^2 on the surface
         rad = (1.0 - self.R / s) / a
-        g = np.stack(
+        return np.stack(
             [
                 y[:, 0] * y[:, 2] * (2.0 - rad),
                 y[:, 1] * y[:, 2] * (-2.0 - rad),
@@ -103,15 +99,13 @@ class ManufacturedSolution:
             ],
             axis=1,
         )
-        return g if np.asarray(x).ndim > 1 else g[0]
 
     def pressure_surface_gradient(self, x):
-        """Tangential gradient of p = z at the closest point: P (0, 0, 1)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        n = np.atleast_2d(self.surface.surface_normal(pts))
+        """Tangential gradient of p = z: P (0, 0, 1)."""
+        n = self.surface.surface_normal(x)
         grad = -n[:, 2][:, None] * n
         grad[:, 2] += 1.0
-        return grad if np.asarray(x).ndim > 1 else grad[0]
+        return grad
 
     def random_surface_points(self, n: int, rng) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -128,9 +122,6 @@ class ErrorTriple:
     u_l2: float
     p_h1: float
     p_l2: float
-
-    def as_tuple(self):
-        return (self.u_l2, self.p_h1, self.p_l2)
 
 
 @dataclass(frozen=True)
@@ -215,20 +206,20 @@ def compute_errors(values, ds: DiscreteSurface, exact) -> ErrorTriple:
     against the exact surface gradient at the closest points.
     """
     u_h, p_h, grad_p_h = values
-    pts = ds.points
+    on_surface = ds.surface.closest_point(ds.points)
     w = ds.weights
 
-    u_e = exact.velocity(pts)
+    u_e = exact.velocity(on_surface)
     e_u_sq = float(w @ np.sum((u_h - u_e) ** 2, axis=1))
 
-    p_e = exact.pressure(pts)
+    p_e = exact.pressure(on_surface)
     shift = surface_mean(ds, p_e)
     e_p = p_h - (p_e - shift)
     e_p_sq = float(w @ e_p**2)
 
     normals = ds.normals
     tangential = grad_p_h - np.einsum("nx,nx->n", normals, grad_p_h)[:, None] * normals
-    grad_exact = exact.pressure_surface_gradient(pts)
+    grad_exact = exact.pressure_surface_gradient(on_surface)
     e_g_sq = float(w @ np.sum((tangential - grad_exact) ** 2, axis=1))
 
     return ErrorTriple(
@@ -269,8 +260,10 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     ds_err = with_quadrature(ds, config.quad_degree_err)
     vspace = fe_space.build_space(active, config.k_u)
     pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
+    spaces = (vspace, pspace)
     params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
-    system = assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), params)
+    data = (exact.f_field, exact.g_field)
+    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
     solution = solve(system)
     log.info(
         "%d unknowns: %d GMRES iterations, relative residual %.3e",
@@ -278,14 +271,14 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
         solution.iterations,
         solution.residual_norm / np.linalg.norm(system.rhs),
     )
-    values = solution_values(solution, (vspace, pspace), ds_err)
+    values = solution_values(solution, spaces, ds_err)
     errors = compute_errors(values, ds_err, exact)
     defect = tangency_defect(values[0], ds_err)
     return {
         "active": active,
         "ds": ds,
         "ds_err": ds_err,
-        "spaces": (vspace, pspace),
+        "spaces": spaces,
         "system": system,
         "solution": solution,
         "errors": errors,

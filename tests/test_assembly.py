@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from surfdarcy.assembly import (
     AssemblyError,
@@ -12,6 +13,7 @@ from surfdarcy.assembly import (
     assemble_stabilization,
     assemble_surface_mass,
     assemble_surface_stiffness,
+    stabilize,
     surface_load_vector,
 )
 from surfdarcy.cut_surface import build_surface, surface_mean
@@ -105,7 +107,8 @@ def test_single_element_matches_oracle(orders, kind):
     pspace = build_space(active, orders[1])
     data = _const_data()
     params = AssemblyParams(stab=kind, tau=0.1, alpha=2.0)
-    system = assemble((vspace, pspace), ds, data, params)
+    spaces = (vspace, pspace)
+    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
     dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.1, 2.0)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
@@ -119,7 +122,8 @@ def test_two_tets_match_oracle(orders, kind):
     pspace = build_space(active, orders[1])
     data = _const_data()
     params = AssemblyParams(stab=kind, tau=0.2, alpha=1.5)
-    system = assemble((vspace, pspace), ds, data, params)
+    spaces = (vspace, pspace)
+    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
     dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.2, 1.5)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
@@ -149,8 +153,9 @@ def assembled_level1(torus_level1):
     exact = ManufacturedSolution()
     vspace = build_space(active, 1)
     pspace = build_space(active, 1)
-    system = assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), AssemblyParams())
-    return system, vspace, pspace
+    spaces = (vspace, pspace)
+    surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
+    return stabilize(surface_form, spaces, ds, AssemblyParams()), vspace, pspace
 
 
 class TestAssembledStructure:
@@ -174,6 +179,36 @@ class TestAssembledStructure:
             down = mat[lay.p_slice, lay.u_slice(c)]
             diff = (up + down.T).toarray()
             assert np.abs(diff).max() == 0.0
+
+    def test_stored_pattern(self, assembled_level1, torus_level1):
+        """The stabilized matrix stores every (u, p) pair of a surface cell in
+        the coupling blocks, zeros included, and no zero in the diagonal
+        blocks.  SuperLU's minimum-degree ordering reads the stored pattern,
+        so the factor fill depends on it: dropping the coupling zeros, or
+        keeping zeros where the surface form and the stabilization both
+        vanish, changes the fill at unchanged values."""
+        system, vspace, pspace = assembled_level1
+        _, _, ds = torus_level1
+        lay = system.layout
+        mat = system.matrix
+        udofs = vspace.cell_dofs[ds.cell_active]
+        pdofs = pspace.cell_dofs[ds.cell_active]
+        pairs = np.broadcast_arrays(udofs[:, :, None], pdofs[:, None, :])
+        cell_pairs = sp.csr_matrix(
+            (np.ones(pairs[0].size), (pairs[0].ravel(), pairs[1].ravel())),
+            shape=(lay.n_u, lay.n_p),
+        )
+        zeros = 0
+        for c in range(3):
+            for block in (mat[lay.u_slice(c), lay.p_slice], mat[lay.p_slice, lay.u_slice(c)].T):
+                block = block.tocsr()
+                block.sort_indices()
+                npt.assert_array_equal(block.indptr, cell_pairs.indptr)
+                npt.assert_array_equal(block.indices, cell_pairs.indices)
+                zeros += int(np.sum(block.data == 0.0))
+            assert np.all(mat[lay.u_slice(c), lay.u_slice(c)].data != 0.0)
+        assert zeros > 0, "the coupling blocks hold stored zeros"
+        assert np.all(mat[lay.p_slice, lay.p_slice].data != 0.0)
 
     def test_symmetric_part_positive_definite(self, assembled_level1, torus_level1):
         system, vspace, pspace = assembled_level1
@@ -210,7 +245,7 @@ class TestAssembledStructure:
         pspace = build_space(other, 1)
         exact = ManufacturedSolution()
         with pytest.raises(AssemblyError):
-            assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), AssemblyParams())
+            assemble((vspace, pspace), ds, (exact.f_field, exact.g_field))
         with pytest.raises(AssemblyError):
             assemble_stabilization(vspace, ds, Stabilization.FULL_GRADIENT, 0.1, 2.0)
 
@@ -346,5 +381,5 @@ def test_assemble_evaluates_no_signed_distance(monkeypatch):
         "signed_distance",
         lambda self, x: points.append(len(np.atleast_2d(x))) or signed_distance(self, x),
     )
-    assemble(spaces, ds, (exact.f_field, exact.g_field), params)
+    stabilize(assemble(spaces, ds, (exact.f_field, exact.g_field)), spaces, ds, params)
     assert points == []

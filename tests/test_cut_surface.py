@@ -397,7 +397,7 @@ def test_quadrature_maps_match_per_cell_loop(torus, k_g):
     ds = build_surface(_active(torus, 0), torus, k_g=k_g, quad_degree=4)
     for degree in (4, 6):
         bary, w = triangle_rule(degree)
-        fields = _attach_quadrature(k_g, ds.nodes, ds.node_lambdas, ds.flips, degree)
+        fields = _attach_quadrature(k_g, ds.nodes, ds.node_lambdas, ds.flips, bary, w)
         points, lambdas, weights, normals = cell_quadrature(
             k_g, ds.nodes, ds.node_lambdas, ds.flips, bary, w
         )

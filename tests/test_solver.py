@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import surfdarcy.solver as solver_mod
-from surfdarcy.assembly import AssembledSystem, AssemblyParams, assemble
+from surfdarcy.assembly import AssembledSystem, AssemblyParams, assemble, stabilize
 from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
@@ -19,11 +19,10 @@ def level1_system():
     mesh = refine_uniform(build_background())
     active = extract_active(mesh, torus.signed_distance(mesh.vertices))
     ds = build_surface(active, torus, k_g=1, quad_degree=4)
-    vspace = build_space(active, 1)
-    pspace = build_space(active, 1)
+    spaces = (build_space(active, 1), build_space(active, 1))
     exact = ManufacturedSolution()
-    system = assemble((vspace, pspace), ds, (exact.f_field, exact.g_field), AssemblyParams())
-    return system, ds, pspace
+    surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
+    return stabilize(surface_form, spaces, ds, AssemblyParams()), ds, spaces[1]
 
 
 @pytest.fixture(scope="module", params=[1, 6], ids=["case1", "case6"])

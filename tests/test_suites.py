@@ -51,15 +51,19 @@ def test_positioning_suite_factorizes_each_system_once(monkeypatch):
 
 
 def test_positioning_suite_builds_each_translation_once(monkeypatch):
-    calls = []
-    build_surface = suites_mod.build_surface
-    monkeypatch.setattr(
-        suites_mod,
-        "build_surface",
-        lambda *a, **kw: calls.append(1) or build_surface(*a, **kw),
-    )
+    calls = {"build_surface": 0, "assemble": 0}
+    for name in calls:
+        original = getattr(suites_mod, name)
+
+        def counted(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        monkeypatch.setattr(suites_mod, name, counted)
     result = positioning_suite(level=0, n_translations=2, seed=0)
-    assert len(calls) == 2, "one surface per translation, shared by both stabilizations"
+    # one surface and one surface form per translation, each shared by both
+    # stabilizations
+    assert calls == {"build_surface": 2, "assemble": 2}
     # the report keeps its order: both checks of one stabilization, then the other
     parts = [line.split(": ", 2) for line in result.lines]
     assert [kind for _, kind, _ in parts] == ["full", "full", "normal", "normal"]

@@ -5,7 +5,7 @@ import pytest
 from surfdarcy import fe_space
 from surfdarcy.assembly import Stabilization
 from surfdarcy.cut_surface import build_surface, surface_mean, with_quadrature
-from surfdarcy.geometry import Torus, fd_gradient
+from surfdarcy.geometry import ImplicitSurface, Torus, fd_gradient
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
 from surfdarcy.solver import Solution
 from surfdarcy.verification import (
@@ -57,7 +57,7 @@ class TestManufacturedSolution:
     def test_momentum_residual(self, exact):
         rng = np.random.default_rng(2)
         pts = exact.random_surface_points(100, rng)
-        grad = fd_gradient(exact.pressure, pts)
+        grad = fd_gradient(lambda q: exact.surface.extend_vector(exact.pressure, q), pts)
         n = exact.surface.surface_normal(pts)
         proj = grad - np.einsum("nx,nx->n", grad, n)[:, None] * n
         residual = exact.velocity(pts) + proj - exact.g_field(pts)
@@ -75,9 +75,10 @@ class TestManufacturedSolution:
         npt.assert_array_equal(exact.f_field(pts), 0.0)
 
     def test_point_values(self, exact):
-        npt.assert_allclose(exact.velocity((1.5, 0, 0)), [0, 0, -1.5], atol=1e-14)
-        npt.assert_allclose(exact.g_field((1.5, 0, 0)), [0, 0, -0.5], atol=1e-14)
-        assert exact.pressure((1.0, 0, 0.2)) == pytest.approx(0.5)
+        npt.assert_allclose(exact.velocity([[1.5, 0, 0]]), [[0, 0, -1.5]], atol=1e-14)
+        npt.assert_allclose(exact.g_field([[1.5, 0, 0]]), [[0, 0, -0.5]], atol=1e-14)
+        pressure = exact.surface.extend_vector(exact.pressure, [[1.0, 0, 0.2]])
+        npt.assert_allclose(pressure, [0.5], atol=1e-14)
 
     def test_g_matches_independent_composition(self, exact):
         # u + P grad(z) must reproduce the closed-form forcing
@@ -113,7 +114,8 @@ class TestComputeErrors:
         assert errors.p_l2 == pytest.approx(expected_p, rel=1e-2)
         assert errors.p_l2 == pytest.approx(np.sqrt(TORUS_AREA * 0.125), rel=1e-2)
         # velocity error equals ||u_exact|| which is nonzero
-        u_norm_sq = ds_err.weights @ np.sum(exact.velocity(ds_err.points) ** 2, axis=1)
+        u_e = exact.surface.extend_vector(exact.velocity, ds_err.points)
+        u_norm_sq = ds_err.weights @ np.sum(u_e**2, axis=1)
         assert errors.u_l2 == pytest.approx(np.sqrt(u_norm_sq), rel=1e-12)
 
     def test_interpolant_velocity_rate(self, exact):
@@ -129,13 +131,8 @@ class TestComputeErrors:
             ds = with_quadrature(build_surface(active, torus, 1, 4), 6)
             vspace = fe_space.build_space(active, 1)
             pspace = fe_space.build_space(active, 1)
-            u_coeffs = np.stack(
-                [
-                    interpolate(vspace, lambda p, c=c: exact.velocity(p)[:, c])
-                    for c in range(3)
-                ]
-            )
-            p_coeffs = interpolate(pspace, exact.pressure)
+            u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
+            p_coeffs = interpolate(pspace, lambda p: torus.extend_vector(exact.pressure, p))
             sol = Solution(u_coeffs, p_coeffs, 0.0, 0.0)
             errors = compute_errors(solution_values(sol, (vspace, pspace), ds), ds, exact)
             errs.append(errors.u_l2)
@@ -185,6 +182,24 @@ class TestTabulationsPerLevel:
         assert (vspace is pspace) == (case == 1)
 
 
+def test_run_level_projects_each_point_set_once(monkeypatch):
+    # assemble pulls f and g back from one projection of the surface's
+    # quadrature points, and compute_errors evaluates u, p and grad p from
+    # one projection of the error quadrature's
+    offset = (0.031, -0.052, 0.017)
+    projected = []
+    closest_point = ImplicitSurface.closest_point
+    monkeypatch.setattr(
+        ImplicitSurface,
+        "closest_point",
+        lambda self, x: projected.append(len(x)) or closest_point(self, x),
+    )
+    out = run_level(
+        case_config(1, offset=offset), build_background(), ManufacturedSolution(offset=offset)
+    )
+    assert sum(projected) == len(out["ds"].points) + len(out["ds_err"].points)
+
+
 class TestEOC:
     def test_known_ratio(self):
         assert compute_eoc([0.4, 0.1])[1] == pytest.approx(2.0)
@@ -228,12 +243,7 @@ class TestTangency:
             active = extract_active(mesh, torus.signed_distance(mesh.vertices))
             ds = with_quadrature(build_surface(active, torus, 1, 4), 6)
             vspace = fe_space.build_space(active, 1)
-            u_coeffs = np.stack(
-                [
-                    interpolate(vspace, lambda p, c=c: exact.velocity(p)[:, c])
-                    for c in range(3)
-                ]
-            )
+            u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
             u_h = fe_space.evaluate(vspace, u_coeffs, ds.point_active, ds.lambdas)
             defects.append(tangency_defect(u_h, ds))
         assert defects[1] < defects[0]
