@@ -16,6 +16,7 @@ import numpy as np
 
 from . import fe_space, vtk_io
 from .mesh import DEFAULT_N_CELLS, MeshError, build_background, refine_uniform
+from .quadrature import TRIANGLE_MAX_DEGREE
 from .solver import SingularSystemError
 from .suites import (
     geometric_rate_suite,
@@ -148,6 +149,10 @@ def _validate(args):
         raise ValueError("check needs translations >= 1")
     if args.ncells0 < 1:
         raise ValueError("ncells0 must be >= 1")
+    # both degrees select a triangle rule
+    for flag in ("quad_degree", "quad_degree_err"):
+        if not 1 <= getattr(args, flag) <= TRIANGLE_MAX_DEGREE:
+            raise ValueError(f"{flag} must lie in [1, {TRIANGLE_MAX_DEGREE}]")
     # the torus reaches R + r from its center in x and y, and r in z
     exact = ManufacturedSolution()
     reach = np.array([exact.R + exact.r, exact.R + exact.r, exact.r])

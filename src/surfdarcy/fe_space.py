@@ -9,7 +9,9 @@ Basis functions are tabulated at points given by their active tet and their
 barycentric coordinates in it, which the discrete surface already holds for
 its quadrature points and nodes; nothing here locates a physical point.  The
 gradients of the barycentric coordinates are those of the active mesh, which
-computes them once for all spaces built on it.
+computes them once for all spaces built on it.  Assembly needs the basis
+tables (`tabulate`); a function with given coefficients is evaluated from
+its local coefficients without them (`evaluate`, `evaluate_gradient`).
 """
 
 from __future__ import annotations
@@ -88,5 +90,24 @@ def tabulate(space: FESpace, cell_positions, lambdas):
 def evaluate(space: FESpace, coeffs, cell_positions, lambdas):
     """Values of the FE functions with coefficients (..., global_dofs) at
     barycentric coordinates (n, 4) of active tets: (n, ...)."""
-    values, _, dofs = tabulate(space, cell_positions, lambdas)
-    return np.einsum("nb,...nb->n...", values, np.asarray(coeffs)[..., dofs])
+    cells = np.asarray(cell_positions, dtype=np.int64)
+    lam = np.asarray(lambdas, dtype=float)
+    local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
+    values = shapes.tet_p1_values(lam) if space.order == 1 else shapes.tet_p2_values(lam)
+    return np.einsum("nb,...nb->n...", values, local)
+
+
+def evaluate_gradient(space: FESpace, coeffs, cell_positions, lambdas):
+    """Physical gradients of the FE functions with coefficients
+    (..., global_dofs) at barycentric coordinates (n, 4) of active tets:
+    (n, ..., 3).
+
+    The local coefficients are contracted first, into the derivative along
+    the 4 barycentric coordinates, so no basis gradient table is formed; each
+    point's tet then applies its barycentric gradients once.
+    """
+    cells = np.asarray(cell_positions, dtype=np.int64)
+    lam = np.asarray(lambdas, dtype=float)
+    local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
+    dlam = local if space.order == 1 else shapes.tet_p2_dlam(lam, local)
+    return np.einsum("...ni,nix->n...x", dlam, space.active_mesh.lam_grads[cells])

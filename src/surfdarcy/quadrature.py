@@ -20,7 +20,7 @@ from math import factorial
 
 import numpy as np
 
-__all__ = ["triangle_rule", "tet_rule"]
+__all__ = ["triangle_rule", "tet_rule", "TRIANGLE_MAX_DEGREE"]
 
 
 def _symmetrize(groups):
@@ -57,6 +57,7 @@ _TRI_GROUPS = {
         ((0.636502499121399, 0.310352451033785, 0.053145049844816), 0.082851075618374),
     ],
 }
+TRIANGLE_MAX_DEGREE = max(_TRI_GROUPS)
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,19 @@ def tet_p2_dvalues(lam):
     return out
 
 
+def tet_p2_dlam(lam, coeffs):
+    """Derivatives w.r.t. the 4 barycentric coords of the P2 functions with
+    local coefficients coeffs (..., 10), contracted without a table of the
+    basis derivatives: lam (..., 4) -> (..., 4)."""
+    lam = np.asarray(lam, dtype=float)
+    out = coeffs[..., :4] * (4.0 * lam - 1.0)
+    for k, (a, b) in enumerate(TET_EDGES):
+        edge = 4.0 * coeffs[..., 4 + k]
+        out[..., a] += edge * lam[..., b]
+        out[..., b] += edge * lam[..., a]
+    return out
+
+
 def tri_p1_values(lam):
     return np.asarray(lam, dtype=float)
 

@@ -181,17 +181,12 @@ class ConvergenceReport:
 
 def solution_values(solution: Solution, spaces, ds: DiscreteSurface):
     """u_h (n, 3), p_h (n,) and grad p_h (n, 3) at the quadrature points of
-    ds; the pressure tabulation serves the velocity when both use one space."""
+    ds, each contracted from the local coefficients without a basis table."""
     vspace, pspace = spaces
-    ptab = fe_space.tabulate(pspace, ds.point_active, ds.lambdas)
-    pvals, pgrads, pdofs = ptab
-    uvals, _, udofs = ptab if vspace is pspace else fe_space.tabulate(
-        vspace, ds.point_active, ds.lambdas
-    )
-    u_h = np.einsum("nb,knb->nk", uvals, np.asarray(solution.u_coeffs)[:, udofs])
-    p_local = np.asarray(solution.p_coeffs)[pdofs]
-    p_h = np.einsum("nb,nb->n", pvals, p_local)
-    grad_p_h = np.einsum("nbx,nb->nx", pgrads, p_local)
+    at = (ds.point_active, ds.lambdas)
+    u_h = fe_space.evaluate(vspace, solution.u_coeffs, *at)
+    p_h = fe_space.evaluate(pspace, solution.p_coeffs, *at)
+    grad_p_h = fe_space.evaluate_gradient(pspace, solution.p_coeffs, *at)
     return u_h, p_h, grad_p_h
 
 
@@ -294,17 +289,19 @@ def run_case(config: CaseConfig, levels: int, case: int | None = None) -> Conver
     mesh = build_background(config.box, config.n_cells0)
     results = []
     for level in range(levels + 1):
+        # the previous level's surface, spaces and system are let go before
+        # this level is built; only the finest stays, on the report
+        out = None
         if level > 0:
             mesh = refine_uniform(mesh)
         log.info("level %d: h = %.5g", level, mesh.h)
         out = run_level(config, mesh, exact)
-        vspace, pspace = out["spaces"]
         results.append(
             LevelResult(
                 level=level,
                 h=mesh.h,
-                dofs_u=3 * vspace.global_dofs,
-                dofs_p=pspace.global_dofs,
+                dofs_u=3 * out["spaces"][0].global_dofs,
+                dofs_p=out["spaces"][1].global_dofs,
                 errors=out["errors"],
                 tangency=out["tangency"],
             )

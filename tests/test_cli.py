@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import surfdarcy.cli as cli_mod
 import surfdarcy.solver as solver_mod
 import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
@@ -167,6 +168,20 @@ def test_out_of_range_count_is_config_error(argv, tmp_path, monkeypatch, capsys,
     assert "configuration error" in capsys.readouterr().err
     assert not splu_calls
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("degree", ["99", "7", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--quad-degree", "--quad-degree-err"])
+def test_quadrature_degree_without_a_triangle_rule_is_config_error(
+    flag, degree, monkeypatch, capsys
+):
+    # rejected before any work: no study is started
+    started = []
+    monkeypatch.setattr(cli_mod, "run_case", lambda *a, **kw: started.append(1))
+    argv = ["converge", "--case", "1", "--levels", "1", "--ncells0", "8", f"{flag}={degree}"]
+    assert main(argv) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not started
 
 
 @pytest.mark.parametrize("ncells0", ["1", "2"])

@@ -102,6 +102,30 @@ class TestEvalBasis:
         npt.assert_allclose(values[0, :4], [0, 0, 0, 0], atol=1e-12)
 
 
+class TestCoefficientsFirst:
+    """`evaluate` and `evaluate_gradient` contract the coefficients without a
+    basis table; they match `tabulate` contracted with the same coefficients."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("components", [(), (3,)], ids=["scalar", "vector"])
+    def test_matches_tabulate(self, active, order, components):
+        rng = np.random.default_rng(7)
+        space = build_space(active, order)
+        tets = rng.integers(0, len(active), size=200)
+        lam = rng.dirichlet(np.ones(4), size=200)
+        coeffs = rng.standard_normal(components + (space.global_dofs,))
+        values, grads, dofs = tabulate(space, tets, lam)
+        local = coeffs[..., dofs]
+        expected = np.einsum("nb,...nb->n...", values, local)
+        expected_grad = np.einsum("nbx,...nb->n...x", grads, local)
+        got = fe_space.evaluate(space, coeffs, tets, lam)
+        got_grad = fe_space.evaluate_gradient(space, coeffs, tets, lam)
+        assert got.shape == expected.shape and got_grad.shape == expected_grad.shape
+        npt.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        scale = np.abs(expected_grad).max()
+        npt.assert_allclose(got_grad, expected_grad, rtol=0, atol=1e-13 * scale)
+
+
 class TestContinuity:
     def test_shared_facets_agree(self, active):
         rng = np.random.default_rng(1)

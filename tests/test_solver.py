@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -116,6 +118,24 @@ class TestSolve:
         assert len(calls) == 1
         npt.assert_array_equal(shared[0].p_coeffs, separate[0].p_coeffs)
         assert shared[1] == separate[1]
+
+    def test_solves_leave_no_reference_cycles(self):
+        # a cycle through a solver object would keep its factors alive until
+        # the cyclic collector runs, past the solve that needed them
+        config = case_config(6, n_cells0=8)
+        mesh = build_background(config.box, config.n_cells0)
+        system = run_level(config, mesh, ManufacturedSolution())["system"]
+        gc.collect()
+        gc.disable()
+        try:
+            solve(system)
+            lu = Factorization(system)
+            solve(lu)
+            estimate_condition(lu)
+            del lu
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSymmetricMode:

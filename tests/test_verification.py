@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -166,10 +168,12 @@ def test_run_level_logs_iterations_and_residual(exact, caplog):
 
 
 class TestTabulationsPerLevel:
-    """`run_level` tabulates each (space order, point set) once: the surface
-    and its error-quadrature copy, for one space in case 1 and two in case 6."""
+    """`run_level` tabulates each space once, at the surface's quadrature
+    points for assembly: one space in case 1, two in case 6.  The values at
+    the error-quadrature points are contracted from the coefficients without
+    a basis table."""
 
-    @pytest.mark.parametrize("case, calls", [(1, 2), (6, 4)])
+    @pytest.mark.parametrize("case, calls", [(1, 1), (6, 2)])
     def test_run_level_tabulation_count(self, case, calls, exact, monkeypatch):
         counted = []
         tabulate = fe_space.tabulate
@@ -180,6 +184,23 @@ class TestTabulationsPerLevel:
         assert len(counted) == calls
         vspace, pspace = out["spaces"]
         assert (vspace is pspace) == (case == 1)
+
+
+def test_solution_values_allocates_no_basis_table():
+    # case 6, P2 pressure: a table of the P2 basis gradients alone takes
+    # 240 bytes per point; the values, pressure and gradient returned take 56
+    offset = (0.031, -0.052, 0.017)
+    config = case_config(6, n_cells0=12, offset=offset)
+    mesh = build_background(config.box, config.n_cells0)
+    out = run_level(config, mesh, ManufacturedSolution(offset=offset))
+    ds_err = out["ds_err"]
+    tracemalloc.start()
+    try:
+        solution_values(out["solution"], out["spaces"], ds_err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * len(ds_err.points)
 
 
 def test_run_level_projects_each_point_set_once(monkeypatch):
