@@ -238,6 +238,11 @@ class Factorization:
             system, lambda matrix, _, ground: _splu(_ground(matrix[:-1, :-1], ground))
         )
 
+    @property
+    def nnz(self) -> int:
+        """L+U nonzeros of the factor of the grounded block."""
+        return self._lu.inner.nnz
+
     def solution(self) -> Solution:
         """Direct solve; the residual is recomputed against the full system."""
         return _solution(self.system, self._lu.solve(self.system.rhs))

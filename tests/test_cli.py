@@ -1,10 +1,13 @@
 import logging
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import surfdarcy.cli as cli_mod
 import surfdarcy.solver as solver_mod
+import surfdarcy.suites as suites_mod
 import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
 
@@ -100,6 +103,18 @@ def test_check_command_deterministic_output(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "[PASS]" in out1
+
+
+def test_check_failure_in_a_positioning_worker_is_numerical_failure(monkeypatch, capsys):
+    def singular(system):
+        raise solver_mod.SingularSystemError("singular system: injected")
+
+    # the positioning suite's forked workers inherit the patch
+    monkeypatch.setattr(suites_mod, "Factorization", singular)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["check", "--levels", "2", "--translations", "2"]) == 2
+    assert "numerical failure: singular system: injected" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
 
 
 def test_converge_exports_finest_level_without_solving_again(tmp_path, splu_calls):
