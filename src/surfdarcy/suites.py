@@ -44,6 +44,15 @@ __all__ = [
     "positioning_suite",
 ]
 
+_KINDS = (Stabilization.FULL_GRADIENT, Stabilization.NORMAL_GRADIENT)
+# the geometry orders whose rates geometric_rate_suite measures
+GEOMETRY_ORDERS = (1, 2)
+# the largest growth of a stability-lemma ratio from the coarsest level to
+# the finest that lemma_ratio_suite passes
+LEMMA_GROWTH = 1.5
+# the largest spread max/min of the positioning suite's condition estimates
+SPREAD_LIMIT = 100.0
+
 
 @dataclass(frozen=True)
 class SystemRecord:
@@ -99,38 +108,47 @@ def manufactured_residual_suite(offset=(0.0, 0.0, 0.0), seed: int = 0) -> SuiteR
     return result
 
 
+def _level_meshes(mesh, levels):
+    """The uniform refinements of `mesh` at each of the increasing `levels`,
+    made one after the other, so that only the current one is held."""
+    if list(levels) != sorted(levels):
+        raise ValueError(f"levels must increase, got {tuple(levels)}")
+    level = 0
+    for target in levels:
+        while level < target:
+            mesh = refine_uniform(mesh)
+            level += 1
+        yield mesh
+
+
 def geometric_rate_suite(
     offset=(0.0, 0.0, 0.0),
     levels=(1, 2, 3),
-    orders=(1, 2),
     n_cells0: int = 14,
     box=None,
 ) -> SuiteResult:
-    """Observed orders of the surface distance and normal errors."""
+    """Observed orders of the surface distance and normal errors, for each
+    geometry order in GEOMETRY_ORDERS."""
     from .mesh import DEFAULT_BOX
 
     result = SuiteResult("geometric approximation rates")
     box = DEFAULT_BOX if box is None else box
-    exact = ManufacturedSolution(offset=offset)
-    surface = exact.surface
-    meshes = {}
-    mesh = build_background(box, n_cells0)
-    meshes[0] = mesh
-    for k in range(1, max(levels) + 1):
-        mesh = refine_uniform(mesh)
-        meshes[k] = mesh
-
-    for k_g in orders:
-        hs, dist, nerr = [], [], []
-        for level in levels:
-            mesh = meshes[level]
-            active = extract_active(mesh, surface.signed_distance(mesh.vertices))
+    surface = ManufacturedSolution(offset=offset).surface
+    hs = []
+    dist = {k_g: [] for k_g in GEOMETRY_ORDERS}
+    nerr = {k_g: [] for k_g in GEOMETRY_ORDERS}
+    for mesh in _level_meshes(build_background(box, n_cells0), levels):
+        # one active mesh per level serves every geometry order
+        active = extract_active(mesh, surface.signed_distance(mesh.vertices))
+        hs.append(mesh.h)
+        for k_g in GEOMETRY_ORDERS:
             ds = build_surface(active, surface, k_g=k_g, quad_degree=4)
-            hs.append(mesh.h)
-            dist.append(ds.max_distance())
-            nerr.append(ds.max_normal_error())
-        order_dist = np.polyfit(np.log(hs), np.log(dist), 1)[0]
-        order_normal = np.polyfit(np.log(hs), np.log(nerr), 1)[0]
+            dist[k_g].append(ds.max_distance())
+            nerr[k_g].append(ds.max_normal_error())
+
+    for k_g in GEOMETRY_ORDERS:
+        order_dist = np.polyfit(np.log(hs), np.log(dist[k_g]), 1)[0]
+        order_normal = np.polyfit(np.log(hs), np.log(nerr[k_g]), 1)[0]
         result.check(
             abs(order_dist - (k_g + 1)) <= 0.3,
             f"k_g={k_g}: distance order {order_dist:.2f} within {k_g + 1} +- 0.3",
@@ -142,21 +160,14 @@ def geometric_rate_suite(
     return result
 
 
-def _lemma_ratios(active, surface, stab_kind, tau, alpha, n_samples, rng):
-    """Max measured ratios over random P1 coefficient vectors."""
-    h = active.h
-    space = fe_space.build_space(active, 1)
-    mass_bulk = assemble_bulk_mass(space, active)
-    ds = build_surface(active, surface, k_g=1, quad_degree=4)
-    mass_surf = assemble_surface_mass(space, ds)
-    stiff_tan = assemble_surface_stiffness(space, ds, tangential=True)
-    stab = assemble_stabilization(space, ds, stab_kind, tau, alpha)
-    load = surface_load_vector(space, ds)
-    area = ds.total_area
-
+def _lemma_ratios(forms, stab, n_samples, rng):
+    """Max measured ratios over random P1 coefficient vectors, given one
+    level's forms that do not depend on the stabilization and one
+    stabilization matrix."""
+    h, mass_bulk, mass_surf, stiff_tan, load, area = forms
     scaled_l2 = 0.0
     poincare = 0.0
-    n = space.global_dofs
+    n = len(load)
     for _ in range(n_samples):
         v = rng.standard_normal(n)
         bulk = v @ (mass_bulk @ v)
@@ -178,45 +189,46 @@ def lemma_ratio_suite(
     tau: float = 0.1,
     alpha: float = 2.0,
     seed: int = 0,
-    growth: float = 1.5,
 ) -> SuiteResult:
-    """Scaled bulk-L2 control and surface Poincare ratios across levels."""
+    """Scaled bulk-L2 control and surface Poincare ratios across levels; a
+    ratio passes if it grows by at most LEMMA_GROWTH from the first level to
+    the last."""
     from .mesh import DEFAULT_BOX, DEFAULT_N_CELLS
 
     result = SuiteResult("stability-lemma ratios")
-    exact = ManufacturedSolution(offset=offset)
-    surface = exact.surface
-    mesh = build_background(DEFAULT_BOX, DEFAULT_N_CELLS)
-    meshes = {0: mesh}
-    for k in range(1, max(levels) + 1):
-        mesh = refine_uniform(mesh)
-        meshes[k] = mesh
+    surface = ManufacturedSolution(offset=offset).surface
+    # one random stream per stabilization, drawn level after level
+    rngs = {kind: np.random.default_rng(seed) for kind in _KINDS}
+    ratios = {kind: [] for kind in _KINDS}  # (scaled-L2, Poincare) per level
+    for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
+        active = extract_active(mesh, surface.signed_distance(mesh.vertices))
+        space = fe_space.build_space(active, 1)
+        ds = build_surface(active, surface, k_g=1, quad_degree=4)
+        forms = (
+            active.h,
+            assemble_bulk_mass(space, active),
+            assemble_surface_mass(space, ds),
+            assemble_surface_stiffness(space, ds, tangential=True),
+            surface_load_vector(space, ds),
+            ds.total_area,
+        )
+        for kind in _KINDS:
+            stab = assemble_stabilization(space, ds, kind, tau, alpha)
+            ratios[kind].append(_lemma_ratios(forms, stab, n_samples, rngs[kind]))
 
-    for kind in (Stabilization.FULL_GRADIENT, Stabilization.NORMAL_GRADIENT):
-        rng = np.random.default_rng(seed)
-        scaled = {}
-        poin = {}
-        for level in levels:
-            mesh = meshes[level]
-            active = extract_active(mesh, surface.signed_distance(mesh.vertices))
-            scaled[level], poin[level] = _lemma_ratios(
-                active, surface, kind, tau, alpha, n_samples, rng
-            )
-        first, last = levels[0], levels[-1]
+    for kind in _KINDS:
+        (first, p_first), (last, p_last) = ratios[kind][0], ratios[kind][-1]
         result.check(
-            scaled[last] <= growth * scaled[first],
-            f"{kind.value}: scaled-L2 ratio {scaled[first]:.3g} -> {scaled[last]:.3g} "
-            f"(growth <= {growth})",
+            last <= LEMMA_GROWTH * first,
+            f"{kind.value}: scaled-L2 ratio {first:.3g} -> {last:.3g} "
+            f"(growth <= {LEMMA_GROWTH})",
         )
         result.check(
-            poin[last] <= growth * poin[first],
-            f"{kind.value}: Poincare ratio {poin[first]:.3g} -> {poin[last]:.3g} "
-            f"(growth <= {growth})",
+            p_last <= LEMMA_GROWTH * p_first,
+            f"{kind.value}: Poincare ratio {p_first:.3g} -> {p_last:.3g} "
+            f"(growth <= {LEMMA_GROWTH})",
         )
     return result
-
-
-_KINDS = (Stabilization.FULL_GRADIENT, Stabilization.NORMAL_GRADIENT)
 
 
 def _solve_translation(mesh, tau, alpha, seed, delta) -> list:
@@ -298,7 +310,6 @@ def positioning_suite(
     tau: float = 0.1,
     alpha: float = 2.0,
     seed: int = 0,
-    spread_limit: float = 100.0,
 ) -> SuiteResult:
     """Random sub-cell surface translations: solvability and conditioning.
     The translations are independent and run in parallel (_map_translations);
@@ -331,7 +342,7 @@ def positioning_suite(
             f"{max_rel_residual:.3e} < 1e-9",
         )
         result.check(
-            spread < spread_limit,
-            f"{kind.value}: condition spread {spread:.3g} < {spread_limit}",
+            spread < SPREAD_LIMIT,
+            f"{kind.value}: condition spread {spread:.3g} < {SPREAD_LIMIT}",
         )
     return result

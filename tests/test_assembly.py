@@ -179,6 +179,9 @@ class TestAssembledStructure:
             down = mat[lay.p_slice, lay.u_slice(c)]
             diff = (up + down.T).toarray()
             assert np.abs(diff).max() == 0.0
+        # the multiplier row and column are one border vector, bit for bit
+        m = lay.multiplier_index
+        npt.assert_array_equal(mat[m, :].toarray().ravel(), mat[:, m].toarray().ravel())
 
     def test_stored_pattern(self, assembled_level1, torus_level1):
         """The stabilized matrix stores every (u, p) pair of a surface cell in

@@ -12,16 +12,6 @@ import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    calls = []
-    splu = solver_mod.spla.splu
-    monkeypatch.setattr(
-        solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
-    )
-    return calls
-
-
 def test_converge_tiny_run(tmp_path, capsys):
     csv_path = tmp_path / "report.csv"
     md_path = tmp_path / "report.md"
@@ -197,6 +187,18 @@ def test_quadrature_degree_without_a_triangle_rule_is_config_error(
     assert main(argv) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not started
+
+
+@pytest.mark.parametrize("flag", ["quad-degree", "quad-degree-err"])
+def test_check_has_no_quadrature_degree(flag, tmp_path, capsys, splu_calls):
+    # the suites fix their own quadrature rules, so check takes none
+    assert main(["check", "--levels", "2", f"--{flag}=2"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = 2\n")
+    assert main(["check", "--levels", "2", f"--config={cfg}"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not splu_calls
 
 
 @pytest.mark.parametrize("ncells0", ["1", "2"])

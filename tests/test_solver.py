@@ -34,16 +34,6 @@ def level0_system(request):
     return run_level(config, mesh, ManufacturedSolution())["system"]
 
 
-@pytest.fixture
-def splu_kwargs(monkeypatch):
-    calls = []
-    splu = solver_mod.spla.splu
-    monkeypatch.setattr(
-        solver_mod.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw)
-    )
-    return calls
-
-
 class TestSolve:
     def test_manufactured_consistency(self, level1_system):
         system, _, _ = level1_system
@@ -78,44 +68,35 @@ class TestSolve:
         system = level0_system
         gmres = solve(system)
         direct = Factorization(system).solution()
-        assert gmres.iterations > 0 and direct.iterations == 0
-        assert gmres.residual_norm <= 1e-11 * np.linalg.norm(system.rhs)
+        assert 0 < gmres.iterations <= 20 and direct.iterations == 0
+        # GMRES stops on the residual of the assembled system, the one reported
+        assert gmres.residual_norm <= 1e-12 * np.linalg.norm(system.rhs)
         npt.assert_allclose(gmres.u_coeffs, direct.u_coeffs, rtol=0, atol=1e-10)
         npt.assert_allclose(gmres.p_coeffs, direct.p_coeffs, rtol=0, atol=1e-10)
         assert gmres.multiplier == pytest.approx(direct.multiplier, abs=1e-10)
 
-    def test_block_path_factors_the_two_diagonal_blocks(self, level0_system, monkeypatch):
+    def test_block_path_factors_the_two_diagonal_blocks(self, level0_system, splu_calls):
         system = level0_system
-        shapes, splu = [], solver_mod.spla.splu
-        monkeypatch.setattr(
-            solver_mod.spla,
-            "splu",
-            lambda a, **kw: shapes.append((a.shape, kw)) or splu(a, **kw),
-        )
         solve(system)
         n_u, n_p = system.layout.n_u, system.layout.n_p
         settings = TestSymmetricMode.SETTINGS
-        assert shapes == [((n_u, n_u), settings), ((n_p, n_p), settings)]
+        assert splu_calls == [((n_u, n_u), settings), ((n_p, n_p), settings)]
 
     def test_unconverged_gmres_raises(self, level0_system, monkeypatch):
         monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
         with pytest.raises(solver_mod.ConvergenceError, match="1 iterations"):
             solve(level0_system)
 
-    def test_one_factorization_serves_solve_and_estimate(self, level1_system, monkeypatch):
+    def test_one_factorization_serves_solve_and_estimate(self, level1_system, splu_calls):
         system, _, _ = level1_system
         separate = (
             Factorization(system).solution(),
             estimate_condition(Factorization(system), seed=3),
         )
-        calls = []
-        splu = solver_mod.spla.splu
-        monkeypatch.setattr(
-            solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
-        )
+        splu_calls.clear()
         lu = Factorization(system)
         shared = (solve(lu), estimate_condition(lu, seed=3))
-        assert len(calls) == 1
+        assert len(splu_calls) == 1
         npt.assert_array_equal(shared[0].p_coeffs, separate[0].p_coeffs)
         assert shared[1] == separate[1]
 
@@ -145,10 +126,11 @@ class TestSymmetricMode:
         "options": {"SymmetricMode": True},
     }
 
-    def test_grounded_block_is_factored_in_symmetric_mode(self, level1_system, splu_kwargs):
+    def test_grounded_block_is_factored_in_symmetric_mode(self, level1_system, splu_calls):
         system, _, _ = level1_system
         Factorization(system)
-        assert splu_kwargs == [self.SETTINGS]
+        n = system.layout.total - 1
+        assert splu_calls == [((n, n), self.SETTINGS)]
 
     def test_matches_pivoting_factor(self, level0_system, monkeypatch):
         system = level0_system

@@ -31,14 +31,27 @@ def test_manufactured_residual_suite_with_offset():
     assert result.passed, "\n".join(result.lines)
 
 
-def test_geometric_rate_suite_small():
+@pytest.fixture
+def extract_calls(monkeypatch):
+    """The active-mesh extractions the suites make, one entry each."""
+    calls = []
+    extract_active = suites_mod.extract_active
+    monkeypatch.setattr(
+        suites_mod, "extract_active", lambda *a: calls.append(1) or extract_active(*a)
+    )
+    return calls
+
+
+def test_geometric_rate_suite_small(extract_calls):
     result = geometric_rate_suite(levels=(1, 2))
     assert result.passed, "\n".join(result.lines)
+    assert len(extract_calls) == 2, "one active mesh per level, for both geometry orders"
 
 
-def test_lemma_ratio_suite_small():
+def test_lemma_ratio_suite_small(extract_calls):
     result = lemma_ratio_suite(levels=(1, 2), n_samples=10, seed=0)
     assert result.passed, "\n".join(result.lines)
+    assert len(extract_calls) == 2, "one active mesh per level, for both stabilizations"
 
 
 def test_positioning_suite_small():
@@ -46,14 +59,9 @@ def test_positioning_suite_small():
     assert result.passed, "\n".join(result.lines)
 
 
-def test_positioning_suite_factorizes_each_system_once(monkeypatch):
-    calls = []
-    splu = solver_mod.spla.splu
-    monkeypatch.setattr(
-        solver_mod.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw)
-    )
+def test_positioning_suite_factorizes_each_system_once(splu_calls):
     result = positioning_suite(level=0, n_translations=1, seed=0)
-    assert len(calls) == 2, "one system per stabilization, one factorization each"
+    assert len(splu_calls) == 2, "one system per stabilization, one factorization each"
     assert len(result.lines) == 4
 
 
@@ -156,3 +164,10 @@ def test_positioning_suite_worker_failure_reaches_the_caller(cores, monkeypatch)
         positioning_suite(level=0, n_translations=3, seed=0)
     assert pools == [2]
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("suite", [geometric_rate_suite, lemma_ratio_suite])
+def test_level_suites_reject_levels_out_of_order(suite, extract_calls):
+    with pytest.raises(ValueError, match="levels must increase"):
+        suite(levels=(2, 1))
+    assert not extract_calls
