@@ -3,7 +3,6 @@ defined closed surfaces, with the torus convergence benchmark built in."""
 
 from .assembly import (
     AssembledSystem,
-    AssemblyParams,
     Stabilization,
     SystemLayout,
     assemble,
@@ -18,7 +17,7 @@ from .cut_surface import (
     with_quadrature,
 )
 from .fe_space import FESpace, build_space
-from .geometry import ImplicitSurface, Torus, Translated
+from .geometry import ImplicitSurface, Torus
 from .mesh import (
     ActiveMesh,
     BackgroundMesh,

@@ -7,11 +7,11 @@
 with full 3-component gradients of the bulk basis functions evaluated at the
 discrete-surface quadrature points (the tangential condition is enforced only
 weakly), and appends the zero-mean pressure constraint as a single symmetric
-Lagrange multiplier row/column.  `stabilize` adds the volume stabilization
-over all active tets per scalar field: tau * h^(alpha-1) times either the
-full-gradient or the normal-gradient penalty, with the bulk normal taken from
-the gradient of the discrete level set phi_h whose zero set is the discrete
-surface.
+Lagrange multiplier row/column.  `stabilize(system, spaces, ds, kind, tau,
+alpha)` adds the volume stabilization over all active tets per scalar field:
+tau * h^(alpha-1) times either the full-gradient or the normal-gradient
+penalty, with the bulk normal taken from the gradient of the discrete level
+set phi_h whose zero set is the discrete surface.
 
 Every element integral is one call of the weighted-Gram kernel `_gram`,
 sum_q w_q a_i(q) b_j(q) per cell, taken as the batched matmul (w a)^T b: mass
@@ -35,7 +35,6 @@ from .quadrature import tet_rule
 
 __all__ = [
     "Stabilization",
-    "AssemblyParams",
     "SystemLayout",
     "AssembledSystem",
     "assemble",
@@ -56,13 +55,6 @@ class AssemblyError(ValueError):
 class Stabilization(Enum):
     FULL_GRADIENT = "full"
     NORMAL_GRADIENT = "normal"
-
-
-@dataclass(frozen=True)
-class AssemblyParams:
-    stab: Stabilization = Stabilization.FULL_GRADIENT
-    tau: float = 0.1
-    alpha: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -163,13 +155,11 @@ def surface_load_vector(space: FESpace, ds: DiscreteSurface) -> np.ndarray:
 
 
 def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
-    """(w, v) over all active tets (exact: polynomial-degree quadrature)."""
+    """(w, v) of a P1 space over all active tets, exact by the degree-2 rule."""
     if space.active_mesh is not active:
         raise AssemblyError("space was built on a different active mesh")
-    bary, w = tet_rule(2 * space.order)
-    shape_vals = (
-        shapes.tet_p1_values(bary) if space.order == 1 else shapes.tet_p2_values(bary)
-    )  # (m, nb)
+    bary, w = tet_rule(2)
+    shape_vals = shapes.tet_p1_values(bary)  # (m, nb)
     # the reference-tet mass matrix, scaled by each tet's volume
     data = _tet_volumes(active)[:, None, None] * _gram(w, shape_vals, shape_vals)
     n = space.global_dofs
@@ -206,7 +196,7 @@ def assemble_stabilization(
         raise AssemblyError("stabilization exponent alpha must lie in [0, 2]")
 
     degree = max(2 * (space.order - 1), 1)
-    bary, w = tet_rule(degree, positive=True)
+    bary, w = tet_rule(degree)
     dvals = (
         shapes.tet_p1_dvalues(bary) if space.order == 1 else shapes.tet_p2_dvalues(bary)
     )  # (m, nb, 4)
@@ -306,18 +296,24 @@ def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
 
 
 def stabilize(
-    system: AssembledSystem, spaces, ds: DiscreteSurface, params: AssemblyParams
+    system: AssembledSystem,
+    spaces,
+    ds: DiscreteSurface,
+    kind: Stabilization,
+    tau: float,
+    alpha: float,
 ) -> AssembledSystem:
     """The system with blockdiag(S_u, S_u, S_u, S_p, 0) added to its matrix,
-    S the stabilization of each space (`assemble_stabilization`).
+    S the stabilization of each space (`assemble_stabilization` with the same
+    kind, tau and alpha).
 
     `+` drops the diagonal-block entries that sum to zero; the other blocks
     keep their stored zeros.  SuperLU's ordering reads this stored pattern.
     """
     vspace, pspace = spaces
-    stab_u = assemble_stabilization(vspace, ds, params.stab, params.tau, params.alpha)
+    stab_u = assemble_stabilization(vspace, ds, kind, tau, alpha)
     stab_p = stab_u if vspace is pspace else assemble_stabilization(
-        pspace, ds, params.stab, params.tau, params.alpha
+        pspace, ds, kind, tau, alpha
     )
     lay = system.layout
     ranges = [lay.u_slice(c) for c in range(3)] + [lay.p_slice, slice(lay.total - 1, None)]

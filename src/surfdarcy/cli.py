@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fe_space, vtk_io
-from .mesh import DEFAULT_N_CELLS, MeshError, build_background, refine_uniform
+from .mesh import (
+    DEFAULT_BOX,
+    DEFAULT_N_CELLS,
+    MeshError,
+    build_background,
+    refine_uniform,
+)
 from .quadrature import TRIANGLE_MAX_DEGREE
 from .solver import SingularSystemError
 from .suites import (
@@ -83,13 +89,13 @@ def _build_parser():
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--tau", type=float, default=0.1, help="stabilization parameter")
         p.add_argument("--alpha", type=float, default=2.0, help="stabilization h-exponent")
-        p.add_argument("--ncells0", type=int, default=DEFAULT_N_CELLS)
-        p.add_argument("--box", type=_parse_box, default=_parse_box("-1.65,1.65"))
         p.add_argument("--offset", type=_parse_vector, default=(0.0, 0.0, 0.0))
-        p.add_argument("--seed", type=int, default=0)
 
-    def add_quadrature(p):
-        # the suites of `check` fix their own rules
+    def add_study(p):
+        # the grid and the quadrature of a solve; the suites of `check` fix
+        # their own
+        p.add_argument("--ncells0", type=int, default=DEFAULT_N_CELLS)
+        p.add_argument("--box", type=_parse_box, default=DEFAULT_BOX)
         p.add_argument("--quad-degree", type=int, default=4)
         p.add_argument("--quad-degree-err", type=int, default=6)
 
@@ -100,11 +106,12 @@ def _build_parser():
     conv.add_argument("--markdown", type=str, default=None)
     conv.add_argument("--vtk-dir", type=str, default=None)
     add_common(conv)
-    add_quadrature(conv)
+    add_study(conv)
 
     check = sub.add_parser("check", help="run the property-check suites")
     check.add_argument("--levels", type=int, default=3)
     check.add_argument("--translations", type=int, default=20)
+    check.add_argument("--seed", type=int, default=0)
     add_common(check)
 
     exp = sub.add_parser("export", help="solve one level and write VTK files")
@@ -112,7 +119,7 @@ def _build_parser():
     exp.add_argument("--level", type=int, default=1)
     exp.add_argument("--vtk-dir", type=str, required=True)
     add_common(exp)
-    add_quadrature(exp)
+    add_study(exp)
     return parser
 
 
@@ -152,7 +159,7 @@ def _validate(args):
         raise ValueError("export needs 0 <= level <= 4")
     if args.command == "check" and args.translations < 1:
         raise ValueError("check needs translations >= 1")
-    if args.ncells0 < 1:
+    if getattr(args, "ncells0", 1) < 1:
         raise ValueError("ncells0 must be >= 1")
     # both degrees select a triangle rule
     for flag in ("quad_degree", "quad_degree_err"):
@@ -161,7 +168,7 @@ def _validate(args):
     # the torus reaches R + r from its center in x and y, and r in z
     exact = ManufacturedSolution()
     reach = np.array([exact.R + exact.r, exact.R + exact.r, exact.r])
-    lo, hi = np.array(args.box, dtype=float).T
+    lo, hi = np.array(getattr(args, "box", DEFAULT_BOX), dtype=float).T
     offset = np.asarray(args.offset, dtype=float)
     if np.any(offset - reach <= lo) or np.any(offset + reach >= hi):
         raise ValueError(f"offset {tuple(args.offset)} moves the torus outside the box")
@@ -240,12 +247,7 @@ def _write_level(case, level, out, outdir: Path):
 def _cmd_check(args):
     suites = [
         manufactured_residual_suite(offset=args.offset, seed=args.seed),
-        geometric_rate_suite(
-            offset=args.offset,
-            levels=tuple(range(1, args.levels + 1)),
-            n_cells0=args.ncells0,
-            box=args.box,
-        ),
+        geometric_rate_suite(offset=args.offset, levels=tuple(range(1, args.levels + 1))),
         lemma_ratio_suite(
             offset=args.offset,
             levels=tuple(range(1, args.levels + 1)),

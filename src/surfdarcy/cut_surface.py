@@ -166,7 +166,7 @@ class TetInterpolant:
         degenerate = norms <= 1e-10
         if np.any(degenerate):
             points = (lam[..., None, :] @ self.verts)[..., 0, :]
-            grad[degenerate] = np.atleast_2d(exact_normal(points[degenerate]))
+            grad[degenerate] = exact_normal(points[degenerate])
             norms = np.linalg.norm(grad, axis=-1)
         return grad / norms[..., None]
 

@@ -4,19 +4,16 @@ Triangle rules are tabulated symmetric Gauss rules (all weights positive),
 given in barycentric coordinates with weights normalized to sum to 1; a rule
 scaled by the triangle area integrates exactly up to its degree.
 
-Tetrahedron rules of low degree (1, 2) are tabulated positive rules used for
-stabilization assembly, where positive weights guarantee a positive
-semidefinite quadratic form for non-polynomial integrands.  Higher degrees
-use Grundmann-Moller combinatorial rules (some negative weights, exact for
-polynomials, which is all they are used for).
+The two tetrahedron rules, of degree 1 and 2, serve the volume terms: the
+stabilization, at degree max(2(k-1), 1) for P_k, and the P1 bulk mass, at
+degree 2.  Their weights are positive, so a quadratic form they integrate,
+sum_q w_q |D v(x_q)|^2, is positive semidefinite even where the integrand is
+not a polynomial (the normal-gradient stabilization with a curved phi_h).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial
 
 import numpy as np
 
@@ -70,69 +67,20 @@ def triangle_rule(degree: int):
     raise ValueError(f"no triangle rule of degree >= {degree} available")
 
 
-# Positive-weight tetrahedron rules (barycentric, weights sum to 1).
+# The positive tetrahedron rules (barycentric, weights sum to 1): the
+# centroid rule and the symmetric 4-point rule of degree 2.
 _TET_P2_A = (5.0 - np.sqrt(5.0)) / 20.0
 _TET_P2_B = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
 
 
-def _tet_positive(degree: int):
+@lru_cache(maxsize=None)
+def tet_rule(degree: int):
+    """Barycentric points (n, 4) and positive weights (n,) summing to 1,
+    exact to `degree`; only degrees <= 2 are available."""
     if degree <= 1:
         return np.array([[0.25, 0.25, 0.25, 0.25]]), np.array([1.0])
     if degree == 2:
         pts = np.full((4, 4), _TET_P2_A)
         np.fill_diagonal(pts, _TET_P2_B)
         return pts, np.full(4, 0.25)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _grundmann_moller_tet(s: int):
-    """Grundmann-Moller rule of index s on the unit tet, degree 2s + 1.
-
-    Returned weights sum to 1 (normalized by the reference volume 1/6).
-    """
-    n = 3
-    d = 2 * s + 1
-    pts = []
-    wts = []
-    for i in range(s + 1):
-        denom = d + n - 2 * i
-        w = (
-            Fraction((-1) ** i)
-            * Fraction(denom**d, 4**s)
-            / (factorial(i) * factorial(d + n - i))
-        )
-        for beta in _compositions(s - i, n + 1):
-            pts.append([Fraction(2 * b + 1, denom) for b in beta])
-            wts.append(w)
-    wts = np.array([float(w * 6) for w in wts])
-    return np.array(pts, dtype=float), wts
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for slots in combinations_with_replacement(range(parts), total):
-        beta = [0] * parts
-        for j in slots:
-            beta[j] += 1
-        yield tuple(beta)
-
-
-@lru_cache(maxsize=None)
-def tet_rule(degree: int, positive: bool = False):
-    """Barycentric points (n, 4) and weights (n,) summing to 1, exact to `degree`.
-
-    With positive=True only degrees <= 2 are available (guaranteed positive
-    weights); otherwise a Grundmann-Moller rule of sufficient degree is used.
-    """
-    if positive:
-        rule = _tet_positive(degree)
-        if rule is None:
-            raise ValueError(f"no positive tet rule of degree {degree}")
-        return rule
-    if degree <= 2:
-        return _tet_positive(degree)
-    return _grundmann_moller_tet(degree // 2)
+    raise ValueError(f"no tet rule of degree {degree}: the positive rules stop at 2")

@@ -185,7 +185,7 @@ class _BorderedOperator:
 
 class Factorization:
     """One factorization of an assembled system, through its grounded block,
-    shared by the solve and the condition estimate."""
+    shared by the solve and the condition estimate (`estimate_condition`)."""
 
     def __init__(self, system: AssembledSystem):
         self.system = system
@@ -201,23 +201,6 @@ class Factorization:
     def solution(self) -> Solution:
         """Direct solve; the residual is recomputed against the full system."""
         return _solution(self.system, self._lu.solve(self.system.rhs))
-
-    def condition(self, seed: int = 0) -> float:
-        """2-norm condition estimate via power iteration on A A^T and its
-        inverse (30 iterations, 1e-3 relative-change stop).  A non-converged
-        estimate is returned as-is and logged as approximate."""
-        a = self.system.matrix
-        rng = np.random.default_rng(seed)
-        n = a.shape[0]
-        sigma_max_sq, conv_hi = _power_iteration(lambda v: a @ (a.T @ v), n, rng)
-        inv_sigma_min_sq, conv_lo = _power_iteration(
-            lambda v: self._lu.solve(self._lu.solve(v), "T"), n, rng
-        )
-        if not (conv_hi and conv_lo):
-            log.warning("condition estimate did not fully converge; returning best value")
-        if inv_sigma_min_sq == 0.0:
-            return float("inf")
-        return float(np.sqrt(sigma_max_sq * inv_sigma_min_sq))
 
 
 def solve(system) -> Solution:
@@ -285,6 +268,18 @@ def _power_iteration(apply_op, n, rng, max_iter=30, rtol=1e-3):
 
 
 def estimate_condition(factorization: Factorization, seed: int = 0) -> float:
-    """2-norm condition estimate of a factorized system; see
-    Factorization.condition."""
-    return factorization.condition(seed)
+    """2-norm condition estimate of a factorized system, by power iteration
+    on A A^T and on its inverse through the factor (30 iterations, 1e-3
+    relative-change stop).  A non-converged estimate is returned as-is and
+    logged as approximate."""
+    a = factorization.system.matrix
+    lu = factorization._lu
+    rng = np.random.default_rng(seed)
+    n = a.shape[0]
+    sigma_max_sq, conv_hi = _power_iteration(lambda v: a @ (a.T @ v), n, rng)
+    inv_sigma_min_sq, conv_lo = _power_iteration(lambda v: lu.solve(lu.solve(v), "T"), n, rng)
+    if not (conv_hi and conv_lo):
+        log.warning("condition estimate did not fully converge; returning best value")
+    if inv_sigma_min_sq == 0.0:
+        return float("inf")
+    return float(np.sqrt(sigma_max_sq * inv_sigma_min_sq))

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fe_space
 from .assembly import (
-    AssemblyParams,
     Stabilization,
     assemble,
     assemble_bulk_mass,
@@ -31,7 +30,13 @@ from .assembly import (
 )
 from .cut_surface import build_surface
 from .geometry import fd_gradient
-from .mesh import build_background, extract_active, refine_uniform
+from .mesh import (
+    DEFAULT_BOX,
+    DEFAULT_N_CELLS,
+    build_background,
+    extract_active,
+    refine_uniform,
+)
 from .solver import Factorization, estimate_condition, solve
 from .verification import CaseConfig, ManufacturedSolution
 
@@ -121,23 +126,15 @@ def _level_meshes(mesh, levels):
         yield mesh
 
 
-def geometric_rate_suite(
-    offset=(0.0, 0.0, 0.0),
-    levels=(1, 2, 3),
-    n_cells0: int = 14,
-    box=None,
-) -> SuiteResult:
+def geometric_rate_suite(offset=(0.0, 0.0, 0.0), levels=(1, 2, 3)) -> SuiteResult:
     """Observed orders of the surface distance and normal errors, for each
     geometry order in GEOMETRY_ORDERS."""
-    from .mesh import DEFAULT_BOX
-
     result = SuiteResult("geometric approximation rates")
-    box = DEFAULT_BOX if box is None else box
     surface = ManufacturedSolution(offset=offset).surface
     hs = []
     dist = {k_g: [] for k_g in GEOMETRY_ORDERS}
     nerr = {k_g: [] for k_g in GEOMETRY_ORDERS}
-    for mesh in _level_meshes(build_background(box, n_cells0), levels):
+    for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
         # one active mesh per level serves every geometry order
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
         hs.append(mesh.h)
@@ -193,8 +190,6 @@ def lemma_ratio_suite(
     """Scaled bulk-L2 control and surface Poincare ratios across levels; a
     ratio passes if it grows by at most LEMMA_GROWTH from the first level to
     the last."""
-    from .mesh import DEFAULT_BOX, DEFAULT_N_CELLS
-
     result = SuiteResult("stability-lemma ratios")
     surface = ManufacturedSolution(offset=offset).surface
     # one random stream per stabilization, drawn level after level
@@ -245,8 +240,7 @@ def _solve_translation(mesh, tau, alpha, seed, delta) -> list:
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
     records = []
     for kind in _KINDS:
-        params = AssemblyParams(stab=kind, tau=tau, alpha=alpha)
-        system = stabilize(surface_form, spaces, ds, params)
+        system = stabilize(surface_form, spaces, ds, kind, tau, alpha)
         lu = Factorization(system)
         solution = solve(lu)
         records.append(
@@ -315,8 +309,6 @@ def positioning_suite(
     The translations are independent and run in parallel (_map_translations);
     the result carries one SystemRecord per system, in translation order and
     then in the order of _KINDS."""
-    from .mesh import DEFAULT_BOX, DEFAULT_N_CELLS
-
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if n_translations < 1:

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fe_space
-from .assembly import AssemblyParams, Stabilization, assemble, stabilize
+from .assembly import Stabilization, assemble, stabilize
 from .cut_surface import DiscreteSurface, build_surface, surface_mean, with_quadrature
-from .geometry import ImplicitSurface, Torus, Translated
+from .geometry import Torus
 from .mesh import (
     DEFAULT_BOX,
     DEFAULT_N_CELLS,
@@ -56,11 +56,7 @@ class ManufacturedSolution:
         self.R = float(R)
         self.r = float(r)
         self.offset = np.asarray(offset, dtype=float)
-        torus = Torus(R=self.R, r=self.r)
-        if np.any(self.offset != 0.0):
-            self.surface: ImplicitSurface = Translated(torus, tuple(self.offset))
-        else:
-            self.surface = torus
+        self.surface = Torus(R=self.R, r=self.r, center=tuple(self.offset))
 
     def _on_torus(self, x):
         """Undo the translation of surface points."""
@@ -256,9 +252,10 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     vspace = fe_space.build_space(active, config.k_u)
     pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
     spaces = (vspace, pspace)
-    params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
     data = (exact.f_field, exact.g_field)
-    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
+    system = stabilize(
+        assemble(spaces, ds, data), spaces, ds, config.stab, config.tau, config.alpha
+    )
     solution = solve(system)
     log.info(
         "%d unknowns: %d GMRES iterations, relative residual %.3e",

@@ -186,7 +186,7 @@ def oracle_assemble(vspace, pspace, ds, data, kind, tau, alpha):
                 mat[gi, total - 1] += weight * phi_p[i]
                 mat[total - 1, gi] += weight * phi_p[i]
             # right-hand side with pull-back extension
-            proj = surface.closest_point(x)
+            proj = surface.closest_point(x[None])[0]
             f_val = float(np.atleast_1d(f_fun(proj[None]))[0])
             g_val = np.atleast_2d(g_fun(proj[None]))[0]
             for c in range(3):

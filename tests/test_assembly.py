@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from surfdarcy.assembly import (
     AssemblyError,
-    AssemblyParams,
     Stabilization,
     SystemLayout,
     assemble,
@@ -29,8 +28,6 @@ from oracle import interpolant_gradient, oracle_assemble, shape_tet, tet_nodes
 class PlaneSurface(ImplicitSurface):
     """Exact signed distance of the plane z = z0 (normal +e_z)."""
 
-    delta0 = 10.0
-
     def __init__(self, z0):
         self.z0 = z0
 
@@ -50,8 +47,6 @@ class PlaneSurface(ImplicitSurface):
 
 class SphereSurface(ImplicitSurface):
     """Exact signed distance of a sphere (used to cut two corner tets)."""
-
-    delta0 = 10.0
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
@@ -106,9 +101,8 @@ def test_single_element_matches_oracle(orders, kind):
     vspace = build_space(active, orders[0])
     pspace = build_space(active, orders[1])
     data = _const_data()
-    params = AssemblyParams(stab=kind, tau=0.1, alpha=2.0)
     spaces = (vspace, pspace)
-    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
+    system = stabilize(assemble(spaces, ds, data), spaces, ds, kind, 0.1, 2.0)
     dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.1, 2.0)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
@@ -121,9 +115,8 @@ def test_two_tets_match_oracle(orders, kind):
     vspace = build_space(active, orders[0])
     pspace = build_space(active, orders[1])
     data = _const_data()
-    params = AssemblyParams(stab=kind, tau=0.2, alpha=1.5)
     spaces = (vspace, pspace)
-    system = stabilize(assemble(spaces, ds, data), spaces, ds, params)
+    system = stabilize(assemble(spaces, ds, data), spaces, ds, kind, 0.2, 1.5)
     dense, rhs = oracle_assemble(vspace, pspace, ds, data, kind.value, 0.2, 1.5)
     npt.assert_allclose(system.matrix.toarray(), dense, atol=1e-12)
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
@@ -155,7 +148,8 @@ def assembled_level1(torus_level1):
     pspace = build_space(active, 1)
     spaces = (vspace, pspace)
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
-    return stabilize(surface_form, spaces, ds, AssemblyParams()), vspace, pspace
+    full = Stabilization.FULL_GRADIENT
+    return stabilize(surface_form, spaces, ds, full, 0.1, 2.0), vspace, pspace
 
 
 class TestAssembledStructure:
@@ -352,7 +346,7 @@ def test_quadratic_geometry_normal_stabilization_matches_oracle(order):
     space = build_space(active, order)
     tau, alpha = 0.2, 1.5
     stab = assemble_stabilization(space, ds, Stabilization.NORMAL_GRADIENT, tau, alpha)
-    bary, w = tet_rule(max(2 * (order - 1), 1), positive=True)
+    bary, w = tet_rule(max(2 * (order - 1), 1))
     dense = np.zeros((space.global_dofs, space.global_dofs))
     scale = tau * active.h ** (alpha - 1.0)
     for tet_verts, dofs in zip(active.tet_vertices, space.cell_dofs):
@@ -376,7 +370,6 @@ def test_assemble_evaluates_no_signed_distance(monkeypatch):
     active = extract_active(mesh, exact.surface.signed_distance(mesh.vertices))
     ds = build_surface(active, exact.surface, config.k_g, config.quad_degree)
     spaces = (build_space(active, config.k_u), build_space(active, config.k_p))
-    params = AssemblyParams(stab=config.stab, tau=config.tau, alpha=config.alpha)
     points = []
     signed_distance = ImplicitSurface.signed_distance
     monkeypatch.setattr(
@@ -384,5 +377,6 @@ def test_assemble_evaluates_no_signed_distance(monkeypatch):
         "signed_distance",
         lambda self, x: points.append(len(np.atleast_2d(x))) or signed_distance(self, x),
     )
-    stabilize(assemble(spaces, ds, (exact.f_field, exact.g_field)), spaces, ds, params)
+    surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
+    stabilize(surface_form, spaces, ds, config.stab, config.tau, config.alpha)
     assert points == []

@@ -12,22 +12,38 @@ import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
 
 
+# case 1's CSV at levels 0-1 on the default grid, with the torus at the
+# origin and at a sub-cell offset; a change that keeps the k_g = 1
+# discretization writes both byte for byte
+TINY_RUN_CSV = {
+    "origin": """\
+level,h,dofs_u,dofs_p,err_u_L2,err_p_H1,err_p_L2,eoc_u_L2,eoc_p_H1,eoc_p_L2
+0,0.23571429,2622,874,4.422243e-01,8.013393e-01,1.056436e-01,,,
+1,0.11785714,10116,3372,1.228587e-01,3.991879e-01,2.499413e-02,1.8478,1.0053,2.0795
+""",
+    "offset": """\
+level,h,dofs_u,dofs_p,err_u_L2,err_p_H1,err_p_L2,eoc_u_L2,eoc_p_H1,eoc_p_L2
+0,0.23571429,2580,860,4.501222e-01,8.116601e-01,1.094144e-01,,,
+1,0.11785714,10110,3370,1.239423e-01,3.954580e-01,2.483204e-02,1.8606,1.0374,2.1395
+""",
+}
+
+
 def test_converge_tiny_run(tmp_path, capsys):
-    csv_path = tmp_path / "report.csv"
-    md_path = tmp_path / "report.md"
-    code = main(
-        [
-            "converge", "--case", "1", "--levels", "1",
-            "--csv", str(csv_path), "--markdown", str(md_path),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tau = 0.1" in out
-    csv = csv_path.read_text().splitlines()
-    assert csv[0].startswith("level,h,dofs_u,dofs_p")
-    assert len(csv) == 3
-    assert "| 1 |" in md_path.read_text()
+    for where, extra in [("origin", []), ("offset", ["--offset=0.031,-0.052,0.017"])]:
+        csv_path = tmp_path / f"report_{where}.csv"
+        md_path = tmp_path / f"report_{where}.md"
+        code = main(
+            [
+                "converge", "--case", "1", "--levels", "1",
+                "--csv", str(csv_path), "--markdown", str(md_path), *extra,
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tau = 0.1" in out
+        assert csv_path.read_text() == TINY_RUN_CSV[where], where
+        assert "| 1 |" in md_path.read_text()
 
 
 def test_converge_echoes_tau(tmp_path, capsys):
@@ -189,16 +205,35 @@ def test_quadrature_degree_without_a_triangle_rule_is_config_error(
     assert not started
 
 
-@pytest.mark.parametrize("flag", ["quad-degree", "quad-degree-err"])
-def test_check_has_no_quadrature_degree(flag, tmp_path, capsys, splu_calls):
-    # the suites fix their own quadrature rules, so check takes none
-    assert main(["check", "--levels", "2", f"--{flag}=2"]) == 1
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("converge", "seed"),
+        ("export", "seed"),
+        # the suites of `check` fix their own grid and quadrature rules
+        ("check", "ncells0"),
+        ("check", "box"),
+        ("check", "quad-degree"),
+        ("check", "quad-degree-err"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_config_error(
+    command, flag, tmp_path, capsys, splu_calls
+):
+    value = {"seed": "5", "ncells0": "6", "box": "-1.65,1.65"}.get(flag, "2")
+    base = {
+        "converge": ["converge", "--case", "1", "--levels", "1", "--ncells0", "6"],
+        "export": ["export", "--case", "1", "--level", "0", f"--vtk-dir={tmp_path / 'vtk'}"],
+        "check": ["check", "--levels", "2"],
+    }[command]
+    assert main([*base, f"--{flag}={value}"]) == 1
     assert "configuration error" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag} = 2\n")
-    assert main(["check", "--levels", "2", f"--config={cfg}"]) == 1
+    cfg.write_text(f"{flag} = {value}\n")
+    assert main([*base, f"--config={cfg}"]) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not splu_calls
+    assert not (tmp_path / "vtk").exists()
 
 
 @pytest.mark.parametrize("ncells0", ["1", "2"])

@@ -225,8 +225,6 @@ class TestPlanarSurface:
         mesh = build_background(((0.0, 1.0),) * 3, 4)
 
         class Plane:
-            delta0 = 0.4
-
             def signed_distance(self, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
                 return x[:, 2] - 0.6125

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from surfdarcy.geometry import Torus, Translated
+from surfdarcy.geometry import Torus
 from surfdarcy.mesh import (
     MeshError,
     build_background,
@@ -154,9 +154,7 @@ class TestExtractActive:
         mesh = refine_uniform(build_background(n_cells=14))  # level 1
         h = mesh.h
         base = extract_active(mesh, torus.signed_distance(mesh.vertices))
-        moved = extract_active(
-            mesh, Translated(torus, (h, 0, 0)).signed_distance(mesh.vertices)
-        )
+        moved = extract_active(mesh, Torus(center=(h, 0, 0)).signed_distance(mesh.vertices))
         n1 = mesh.n_cells + 1
         # tet index -> cube (i, j, k) plus split index; shift i by one
         cube_base, split = np.divmod(base.active_tets, 6)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import surfdarcy.solver as solver_mod
-from surfdarcy.assembly import AssembledSystem, AssemblyParams, assemble, stabilize
+from surfdarcy.assembly import AssembledSystem, Stabilization, assemble, stabilize
 from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
@@ -24,7 +24,8 @@ def level1_system():
     spaces = (build_space(active, 1), build_space(active, 1))
     exact = ManufacturedSolution()
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
-    return stabilize(surface_form, spaces, ds, AssemblyParams()), ds, spaces[1]
+    full = Stabilization.FULL_GRADIENT
+    return stabilize(surface_form, spaces, ds, full, 0.1, 2.0), ds, spaces[1]
 
 
 @pytest.fixture(scope="module", params=[1, 6], ids=["case1", "case6"])
