@@ -166,8 +166,8 @@ def _validate(args):
         if hasattr(args, flag) and not 1 <= getattr(args, flag) <= TRIANGLE_MAX_DEGREE:
             raise ValueError(f"{flag} must lie in [1, {TRIANGLE_MAX_DEGREE}]")
     # the torus reaches R + r from its center in x and y, and r in z
-    exact = ManufacturedSolution()
-    reach = np.array([exact.R + exact.r, exact.R + exact.r, exact.r])
+    torus = ManufacturedSolution().surface
+    reach = np.array([torus.R + torus.r, torus.R + torus.r, torus.r])
     lo, hi = np.array(getattr(args, "box", DEFAULT_BOX), dtype=float).T
     offset = np.asarray(args.offset, dtype=float)
     if np.any(offset - reach <= lo) or np.any(offset + reach >= hi):

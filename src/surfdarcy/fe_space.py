@@ -73,18 +73,22 @@ def tabulate(space: FESpace, cell_positions, lambdas):
 
     cell_positions: (n,) active-mesh tet positions; lambdas: (n, 4)
     barycentric coordinates in those tets, such as `DiscreteSurface.lambdas`.
-    Returns values (n, nb), gradients (n, nb, 3), dofs (n, nb).
+    Returns values (n, nb), gradients (n, nb, 3), dofs (n, nb).  The
+    gradients are formed in closed form from the barycentric gradients: P1's
+    are those gradients themselves, and no (n, nb, 4) table of barycentric
+    derivatives is made.
     """
     cells = np.asarray(cell_positions, dtype=np.int64)
     lam = np.asarray(lambdas, dtype=float)
+    lam_grads = space.active_mesh.lam_grads[cells]
     if space.order == 1:
-        values = shapes.tet_p1_values(lam)
-        dvalues = shapes.tet_p1_dvalues(lam)
-    else:
-        values = shapes.tet_p2_values(lam)
-        dvalues = shapes.tet_p2_dvalues(lam)
-    grads = dvalues @ space.active_mesh.lam_grads[cells]
-    return values, grads, space.cell_dofs[cells]
+        # in C order, like the P2 gradients: the mesh stores them
+        # transposed, and assembly's batched products round differently on
+        # that layout, which would move the assembled values by round-off
+        grads = np.ascontiguousarray(lam_grads)
+        return shapes.tet_p1_values(lam), grads, space.cell_dofs[cells]
+    grads = shapes.tet_p2_gradients(lam, lam_grads)
+    return shapes.tet_p2_values(lam), grads, space.cell_dofs[cells]
 
 
 def evaluate(space: FESpace, coeffs, cell_positions, lambdas):

@@ -18,13 +18,6 @@ def tet_p1_values(lam):
     return np.asarray(lam, dtype=float)
 
 
-def tet_p1_dvalues(lam):
-    """d(values)/d(lam): constant identity, broadcast to (..., 4, 4)."""
-    lam = np.asarray(lam, dtype=float)
-    eye = np.eye(4)
-    return np.broadcast_to(eye, lam.shape[:-1] + (4, 4))
-
-
 def tet_p2_values(lam):
     """P2 values (vertices then TET_EDGES midpoints): (..., 4) -> (..., 10)."""
     lam = np.asarray(lam, dtype=float)
@@ -35,15 +28,23 @@ def tet_p2_values(lam):
     return out
 
 
-def tet_p2_dvalues(lam):
-    """Derivatives w.r.t. the 4 barycentric coords: (..., 4) -> (..., 10, 4)."""
+def tet_p2_gradients(lam, lam_grads):
+    """Physical gradients of the P2 functions in closed form, without a table
+    of their barycentric derivatives: (4 lam_i - 1) grad(lam_i) at the
+    vertices and 4 (lam_b grad(lam_a) + lam_a grad(lam_b)) on the edges.
+
+    lam (..., 4) and the barycentric gradients lam_grads (..., 4, 3)
+    broadcast against each other -> (..., 10, 3).
+    """
     lam = np.asarray(lam, dtype=float)
-    out = np.zeros(lam.shape[:-1] + (10, 4))
-    for i in range(4):
-        out[..., i, i] = 4.0 * lam[..., i] - 1.0
+    lam_grads = np.asarray(lam_grads, dtype=float)
+    shape = np.broadcast_shapes(lam.shape[:-1], lam_grads.shape[:-2])
+    out = np.empty(shape + (10, 3))
+    out[..., :4, :] = (4.0 * lam - 1.0)[..., None] * lam_grads
     for k, (a, b) in enumerate(TET_EDGES):
-        out[..., 4 + k, a] = 4.0 * lam[..., b]
-        out[..., 4 + k, b] = 4.0 * lam[..., a]
+        out[..., 4 + k, :] = 4.0 * (
+            lam[..., b, None] * lam_grads[..., a, :] + lam[..., a, None] * lam_grads[..., b, :]
+        )
     return out
 
 

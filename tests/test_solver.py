@@ -83,6 +83,11 @@ class TestSolve:
         settings = TestSymmetricMode.SETTINGS
         assert splu_calls == [((n_u, n_u), settings), ((n_p, n_p), settings)]
 
+    def test_solves_end_within_one_restart_cycle(self, level0_system):
+        # a solve that ends before GMRES's first restart does not depend on
+        # the basis size: the basis holds RESTART + 1 vectors
+        assert 0 < solve(level0_system).iterations < solver_mod.RESTART
+
     def test_unconverged_gmres_raises(self, level0_system, monkeypatch):
         monkeypatch.setattr(solver_mod, "MAX_ITERATIONS", 1)
         with pytest.raises(solver_mod.ConvergenceError, match="1 iterations"):

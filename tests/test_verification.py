@@ -6,9 +6,10 @@ import pytest
 
 from surfdarcy import fe_space
 from surfdarcy.assembly import Stabilization
-from surfdarcy.cut_surface import build_surface, surface_mean, with_quadrature
+from surfdarcy.cut_surface import CHUNK_CELLS, build_surface, with_quadrature
 from surfdarcy.geometry import ImplicitSurface, Torus, fd_gradient
 from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.quadrature import triangle_rule
 from surfdarcy.solver import Solution
 from surfdarcy.verification import (
     CASE_TABLE,
@@ -101,7 +102,8 @@ class TestManufacturedSolution:
 
 class TestComputeErrors:
     def test_zero_solution_gives_exact_norms(self, exact, level1):
-        ds_err = level1["ds_err"]
+        degree = case_config(1).quad_degree_err
+        ds_err = with_quadrature(level1["ds"], degree)
         vspace, pspace = level1["spaces"]
         zero = Solution(
             u_coeffs=np.zeros((3, vspace.global_dofs)),
@@ -109,7 +111,8 @@ class TestComputeErrors:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        errors = compute_errors(solution_values(zero, (vspace, pspace), ds_err), ds_err, exact)
+        errors, tangency = compute_errors(zero, (vspace, pspace), level1["ds"], exact, degree)
+        assert tangency == 0.0
         # ||z||^2 over the torus: 2 pi^2 R r^3, so ||z|| ~ sqrt(area r^2 / 2);
         # the discrete surface carries an O(h^2) geometric error at level 1
         expected_p = np.sqrt(2 * np.pi**2 * 1.0 * 0.5**3)
@@ -130,13 +133,13 @@ class TestComputeErrors:
             out_cfg = case_config(1)
             torus = exact.surface
             active = extract_active(mesh, torus.signed_distance(mesh.vertices))
-            ds = with_quadrature(build_surface(active, torus, 1, 4), 6)
+            ds = build_surface(active, torus, 1, 4)
             vspace = fe_space.build_space(active, 1)
             pspace = fe_space.build_space(active, 1)
             u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
             p_coeffs = interpolate(pspace, lambda p: torus.extend_vector(exact.pressure, p))
             sol = Solution(u_coeffs, p_coeffs, 0.0, 0.0)
-            errors = compute_errors(solution_values(sol, (vspace, pspace), ds), ds, exact)
+            errors, _ = compute_errors(sol, (vspace, pspace), ds, exact, 6)
             errs.append(errors.u_l2)
             hs.append(mesh.h)
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -168,20 +171,23 @@ def test_run_level_logs_iterations_and_residual(exact, caplog):
 
 
 class TestTabulationsPerLevel:
-    """`run_level` tabulates each space once, at the surface's quadrature
-    points for assembly: one space in case 1, two in case 6.  The values at
-    the error-quadrature points are contracted from the coefficients without
-    a basis table."""
+    """`run_level` tabulates each space once at each of the surface's
+    quadrature points for assembly: one space in case 1, two in case 6.  The
+    values at the error-quadrature points are contracted from the
+    coefficients without a basis table."""
 
-    @pytest.mark.parametrize("case, calls", [(1, 1), (6, 2)])
-    def test_run_level_tabulation_count(self, case, calls, exact, monkeypatch):
+    @pytest.mark.parametrize("case, spaces", [(1, 1), (6, 2)])
+    def test_run_level_tabulation_count(self, case, spaces, exact, monkeypatch):
         counted = []
         tabulate = fe_space.tabulate
-        monkeypatch.setattr(
-            fe_space, "tabulate", lambda *a, **kw: counted.append(1) or tabulate(*a, **kw)
-        )
+
+        def counting(space, cells, lambdas):
+            counted.append(len(lambdas))
+            return tabulate(space, cells, lambdas)
+
+        monkeypatch.setattr(fe_space, "tabulate", counting)
         out = run_level(case_config(case), build_background(), exact)
-        assert len(counted) == calls
+        assert sum(counted) == spaces * len(out["ds"].points)
         vspace, pspace = out["spaces"]
         assert (vspace is pspace) == (case == 1)
 
@@ -193,7 +199,7 @@ def test_solution_values_allocates_no_basis_table():
     config = case_config(6, n_cells0=12, offset=offset)
     mesh = build_background(config.box, config.n_cells0)
     out = run_level(config, mesh, ManufacturedSolution(offset=offset))
-    ds_err = out["ds_err"]
+    ds_err = with_quadrature(out["ds"], config.quad_degree_err)
     tracemalloc.start()
     try:
         solution_values(out["solution"], out["spaces"], ds_err)
@@ -208,6 +214,7 @@ def test_run_level_projects_each_point_set_once(monkeypatch):
     # quadrature points, and compute_errors evaluates u, p and grad p from
     # one projection of the error quadrature's
     offset = (0.031, -0.052, 0.017)
+    config = case_config(1, offset=offset)
     projected = []
     closest_point = ImplicitSurface.closest_point
     monkeypatch.setattr(
@@ -215,10 +222,27 @@ def test_run_level_projects_each_point_set_once(monkeypatch):
         "closest_point",
         lambda self, x: projected.append(len(x)) or closest_point(self, x),
     )
-    out = run_level(
-        case_config(1, offset=offset), build_background(), ManufacturedSolution(offset=offset)
-    )
-    assert sum(projected) == len(out["ds"].points) + len(out["ds_err"].points)
+    out = run_level(config, build_background(), ManufacturedSolution(offset=offset))
+    ds_err = with_quadrature(out["ds"], config.quad_degree_err)
+    assert sum(projected) == len(out["ds"].points) + len(ds_err.points)
+
+
+def test_error_stage_holds_few_bytes_per_error_point(exact, level1):
+    # the error quadrature is built and evaluated one chunk of cells at a
+    # time; only the two pressures and the weights (24 bytes) are kept for
+    # every error point, against 344 bytes when the whole level's error
+    # quadrature and fields were held at once
+    config = case_config(1)
+    ds = level1["ds"]
+    n_points = ds.n_cells * len(triangle_rule(config.quad_degree_err)[1])
+    assert ds.n_cells > 4 * CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        compute_errors(level1["solution"], level1["spaces"], ds, exact, config.quad_degree_err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * n_points
 
 
 class TestEOC:
@@ -250,7 +274,7 @@ class TestTangency:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        ds_err = level1["ds_err"]
+        ds_err = with_quadrature(level1["ds"], case_config(1).quad_degree_err)
         u_h = solution_values(zero, (vspace, pspace), ds_err)[0]
         assert tangency_defect(u_h, ds_err) == 0.0
 
