@@ -7,13 +7,13 @@
 with full 3-component gradients of the bulk basis functions evaluated at the
 discrete-surface quadrature points (the tangential condition is enforced only
 weakly), and appends the zero-mean pressure constraint as a single symmetric
-Lagrange multiplier row/column.  It returns the blocks of the bordered
-matrix (`SurfaceForm`).  `stabilize(form, spaces, ds, kind, tau, alpha)` adds
-the volume stabilization over all active tets per scalar field to the
-diagonal blocks and stacks them into one CSR matrix: tau * h^(alpha-1) times
-either the full-gradient or the normal-gradient penalty, with the bulk
-normal taken from the gradient of the discrete level set phi_h whose zero
-set is the discrete surface.
+Lagrange multiplier row/column.  It returns the system as the grid of
+blocks of its bordered matrix (`AssembledSystem`).  `stabilize(system,
+spaces, ds, kind, tau, alpha)` adds the volume stabilization over all active
+tets per scalar field to the diagonal blocks: tau * h^(alpha-1) times either
+the full-gradient or the normal-gradient penalty, with the bulk normal taken
+from the gradient of the discrete level set phi_h whose zero set is the
+discrete surface.
 
 Every element integral is one call of the weighted-Gram kernel `_gram`,
 sum_q w_q a_i(q) b_j(q) per cell, taken as the batched matmul (w a)^T b: mass
@@ -47,7 +47,6 @@ __all__ = [
     "Stabilization",
     "SystemLayout",
     "AssembledSystem",
-    "SurfaceForm",
     "assemble",
     "stabilize",
     "assemble_stabilization",
@@ -91,18 +90,10 @@ class SystemLayout:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    layout: SystemLayout
-
-
-@dataclass(frozen=True)
-class SurfaceForm:
-    """The unstabilized system that `assemble` returns, kept as the grid of
-    blocks of its bordered matrix that `sp.bmat` takes: rows and columns
-    u_x, u_y, u_z, p and the multiplier, every block CSR.  `stabilize` adds
-    to the diagonal blocks and stacks the grid once; `matrix` stacks it as
-    it is, on first use."""
+    """The bordered system as the grid of blocks of its matrix, in the form
+    `sp.bmat` takes: rows and columns u_x, u_y, u_z, p and the multiplier,
+    every block CSR.  `matvec` applies the matrix block by block; `matrix`
+    stacks the grid, on first use."""
 
     blocks: list
     rhs: np.ndarray
@@ -111,6 +102,11 @@ class SurfaceForm:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         return sp.bmat(self.blocks, format="csr")
+
+    def matvec(self, x):
+        """The bordered matrix times x, one block at a time."""
+        parts = np.split(x, np.cumsum([row[0].shape[0] for row in self.blocks[:-1]]))
+        return np.concatenate([sum(b @ xb for b, xb in zip(row, parts)) for row in self.blocks])
 
 
 def _cell_tab(space: FESpace, ds: DiscreteSurface):
@@ -300,9 +296,9 @@ def _bulk_normals(ds: DiscreteSurface, tets, bary):
     return phi.normal_at(bary, ds.surface.surface_normal)
 
 
-def assemble(spaces, ds: DiscreteSurface, data) -> SurfaceForm:
-    """Assemble matrix and right-hand side of the unstabilized surface form;
-    `stabilize` adds the volume stabilization.
+def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
+    """Assemble the block grid and right-hand side of the unstabilized
+    surface form; `stabilize` adds the volume stabilization.
 
     spaces: (velocity_space, pressure_space) on the active mesh of ds; data:
     (f, g) surface fields, extended off the surface through the closest-point
@@ -378,11 +374,11 @@ def assemble(spaces, ds: DiscreteSurface, data) -> SurfaceForm:
     pressure_row = [(-g_c.T).tocsr() for g_c in half_grads] + [half_stiff_p, col]
     multiplier_row = [sp.csr_matrix((1, n_u))] * 3 + [row, sp.csr_matrix((1, 1))]
     blocks = velocity_rows + [pressure_row, multiplier_row]
-    return SurfaceForm(blocks=blocks, rhs=rhs, layout=layout)
+    return AssembledSystem(blocks=blocks, rhs=rhs, layout=layout)
 
 
 def stabilize(
-    form: SurfaceForm,
+    system: AssembledSystem,
     spaces,
     ds: DiscreteSurface,
     kind: Stabilization,
@@ -390,9 +386,9 @@ def stabilize(
     alpha: float,
 ) -> AssembledSystem:
     """The system with blockdiag(S_u, S_u, S_u, S_p, 0) added to the matrix
-    of the surface form, S the stabilization of each space
-    (`assemble_stabilization` with the same kind, tau and alpha), stacked
-    once.
+    of the unstabilized one, S the stabilization of each space
+    (`assemble_stabilization` with the same kind, tau and alpha); the other
+    blocks are shared with it.
 
     `+` drops the diagonal-block entries that sum to zero; the other blocks
     keep their stored zeros.  SuperLU's ordering reads this stored pattern.
@@ -402,11 +398,9 @@ def stabilize(
     stab_p = stab_u if vspace is pspace else assemble_stabilization(
         pspace, ds, kind, tau, alpha
     )
-    blocks = [list(row) for row in form.blocks]
+    blocks = [list(row) for row in system.blocks]
     a_u = blocks[0][0] + stab_u
     for c in range(3):
         blocks[c][c] = a_u
     blocks[3][3] = blocks[3][3] + stab_p
-    return AssembledSystem(
-        matrix=sp.bmat(blocks, format="csr"), rhs=form.rhs, layout=form.layout
-    )
+    return AssembledSystem(blocks=blocks, rhs=system.rhs, layout=system.layout)

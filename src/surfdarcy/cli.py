@@ -274,16 +274,19 @@ def _cmd_check(args):
 
 
 def main(argv=None) -> int:
-    """Run one command; the package's log records go to stderr, each with
-    its level and logger name, while the command runs."""
+    """Run one command; the package's log records from INFO up go to stderr,
+    each with its level and logger name, while the command runs."""
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     package_log = logging.getLogger(__package__)
+    level = package_log.level
+    package_log.setLevel(logging.INFO)
     package_log.addHandler(handler)
     try:
         return _run(list(sys.argv[1:] if argv is None else argv))
     finally:
         package_log.removeHandler(handler)
+        package_log.setLevel(level)
 
 
 def _run(argv) -> int:

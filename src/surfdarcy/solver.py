@@ -26,14 +26,16 @@ The one elimination serves two solves of the grounded block, chosen by how
 the solver is used, not by the size of the system:
 
 - A one-shot `solve(system)` runs GMRES (relative residual 1e-12, restart
-  RESTART) on the assembled bordered matrix itself, so it stops on the residual
-  that `Solution.residual_norm` reports.  Its preconditioner is the
-  elimination around the block upper triangle of A,
-  P = [[A_u (x) I_3, G/2], [0, A_p]] (`_BlockTriangle`).  The diagonal
+  RESTART) on the assembled bordered matrix itself, applied block by block
+  (`AssembledSystem.matvec`), so it stops on the residual that
+  `Solution.residual_norm` reports.  Its preconditioner is the elimination
+  around the block upper triangle of A, P = [[A_u (x) I_3, G/2], [0, A_p]]
+  (`_BlockTriangle`), which reads A_u, A_p and G/2 from the system's
+  blocks.  The diagonal
   blocks of P are principal blocks of H, hence positive definite and
   nonsingular; each takes one symmetric-mode SuperLU factor, and the one A_u
   factor solves the three velocity components in a single three-column
-  solve.  Only A_p is copied grounded.  GMRES converges in 16-19 iterations
+  solve.  Only A_p is copied, grounded.  GMRES converges in 16-19 iterations
   whatever the mesh size and wherever the surface cuts the mesh: the
   paper's independence of positioning, seen in the solver (Benzi, Golub &
   Liesen, Acta Numerica 2005; Elman, Silvester & Wathen, Finite Elements and
@@ -126,30 +128,31 @@ def _ground(block, ground):
 
 class _BlockTriangle:
     """Solve with the block upper triangle P = [[A_u (x) I_3, G/2], [0, A_p]]
-    of the grounded block (see the module docstring); only A_p is copied
-    grounded, and G/2 drops the ground column."""
+    of the system's block grounded at pressure DOF `ground` (see the module
+    docstring), read from the system's blocks: only A_p is copied, grounded,
+    and G/2 is applied without the ground column."""
 
-    def __init__(self, matrix: sp.csr_matrix, layout, ground: int):
-        self.split = 3 * layout.n_u
+    def __init__(self, system: AssembledSystem, ground: int):
+        self.split = 3 * system.layout.n_u
         self.p_ground = ground - self.split
-        self.lu_u = _splu(matrix[: layout.n_u, : layout.n_u])
-        self.lu_p = _splu(_ground(matrix[layout.p_slice, layout.p_slice], self.p_ground))
-        self.coupling = matrix[: self.split, layout.p_slice]
+        self.lu_u = _splu(system.blocks[0][0])
+        self.lu_p = _splu(_ground(system.blocks[3][3], self.p_ground))
+        self.coupling = [system.blocks[c][3] for c in range(3)]
 
     def solve(self, r):
         p = self.lu_p.solve(r[self.split :])
         p_free = p.copy()
         p_free[self.p_ground] = 0.0
         # one factor, three right-hand sides: the velocity components
-        u = self.lu_u.solve((r[: self.split] - self.coupling @ p_free).reshape(3, -1).T)
+        r_u = r[: self.split].reshape(3, -1) - np.stack([g @ p_free for g in self.coupling])
+        u = self.lu_u.solve(r_u.T)
         return np.concatenate([u.T.ravel(), p])
 
 
 class _BorderedOperator:
     """Exact inverse of the assembled bordered system, given a solver
-    `inner(matrix, layout, ground)` of its block grounded at pressure DOF
-    `ground`, where `matrix` is the bordered matrix in CSR form; with an
-    inexact inner solver it is a preconditioner.
+    `inner(system, ground)` of its block grounded at pressure DOF `ground`;
+    with an inexact inner solver it is a preconditioner.
 
     The block without the multiplier has the constant-pressure vector e as
     left and right null vector; grounding one pressure DOF makes it regular,
@@ -161,18 +164,18 @@ class _BorderedOperator:
     """
 
     def __init__(self, system: AssembledSystem, inner):
-        matrix = system.matrix.tocsr()
         lay = system.layout
-        n = lay.total - 1
-        self.n = n
+        self.n = n = lay.total - 1
         self.p_slice = lay.p_slice
-        self.c = np.asarray(matrix[n, :n].todense()).ravel()
+        # the border lies in the pressure columns of the multiplier row
+        self.c = np.zeros(n)
+        self.c[lay.p_slice] = system.blocks[4][3].toarray().ravel()
         c_p = self.c[lay.p_slice]
         self.c_total = float(c_p.sum())
         if self.c_total == 0.0:
             raise SingularSystemError("constraint row has zero surface measure")
         self.ground = lay.p_slice.start + int(np.argmax(c_p))
-        self.inner = inner(matrix, lay, self.ground)
+        self.inner = inner(system, self.ground)
 
     def solve(self, rhs_full, *trans):
         """The bordered solve; `trans`, if given, goes to the inner solve, and
@@ -194,9 +197,7 @@ class Factorization:
 
     def __init__(self, system: AssembledSystem):
         self.system = system
-        self._lu = _BorderedOperator(
-            system, lambda matrix, _, ground: _splu(_ground(matrix[:-1, :-1], ground))
-        )
+        self._lu = _BorderedOperator(system, lambda own, g: _splu(_ground(own.matrix[:-1, :-1], g)))
 
     @property
     def nnz(self) -> int:
@@ -214,24 +215,24 @@ def solve(system) -> Solution:
     solved with its own factor."""
     if isinstance(system, Factorization):
         return system.solution()
-    a, b = system.matrix, system.rhs
-    n = a.shape[0]
+    b, n = system.rhs, len(system.rhs)
     preconditioner = _BorderedOperator(system, _BlockTriangle)
     residuals = []  # one per iteration, from the callback
     x, info = spla.gmres(
-        a,
+        # float dtypes given, so that neither operator is applied to a probe
+        spla.LinearOperator((n, n), matvec=system.matvec, dtype=float),
         b,
         rtol=1e-12,
         atol=0.0,
         restart=RESTART,
         maxiter=MAX_ITERATIONS,
-        M=spla.LinearOperator((n, n), matvec=preconditioner.solve),
+        M=spla.LinearOperator((n, n), matvec=preconditioner.solve, dtype=float),
         callback=residuals.append,
         # "legacy" makes maxiter count iterations rather than restart cycles
         callback_type="legacy",
     )
     if info:
-        rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+        rel = np.linalg.norm(system.matvec(x) - b) / np.linalg.norm(b)
         raise ConvergenceError(
             f"GMRES did not converge in {len(residuals)} iterations "
             f"(relative residual {rel:.3e})"
@@ -243,7 +244,7 @@ def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
     """Split the full solution vector; the residual is recomputed against the
     full bordered system."""
     lay = system.layout
-    residual = float(np.linalg.norm(system.matrix @ x - system.rhs))
+    residual = float(np.linalg.norm(system.matvec(x) - system.rhs))
     return Solution(
         u_coeffs=np.stack([x[lay.u_slice(c)] for c in range(3)]),
         p_coeffs=x[lay.p_slice],

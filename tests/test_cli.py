@@ -1,6 +1,7 @@
 import logging
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,24 @@ def test_warnings_reach_stderr_with_logger_name(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "WARNING surfdarcy.solver: condition estimate did not converge\n" in err
     assert "condition estimate" not in out
+
+
+def test_each_level_logs_its_residual_to_stderr(tmp_path, capsys):
+    csv_path = tmp_path / "report.csv"
+    level = logging.getLogger("surfdarcy").level
+    assert main(["converge", "--case", "1", "--levels", "1", "--csv", str(csv_path)]) == 0
+    out, err = capsys.readouterr()
+    for unknowns in (3497, 13489):
+        assert re.search(
+            rf"^INFO surfdarcy.verification: {unknowns} unknowns: \d+ GMRES iterations, "
+            r"relative residual \d\.\d{3}e-\d+$",
+            err,
+            re.MULTILINE,
+        ), unknowns
+    assert "INFO" not in out
+    assert csv_path.read_text() == TINY_RUN_CSV["origin"]
+    # the package's logger level is restored once the command has run
+    assert logging.getLogger("surfdarcy").level == level
 
 
 def test_unconverged_solve_is_numerical_failure(monkeypatch, capsys):

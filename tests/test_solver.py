@@ -35,13 +35,23 @@ def level0_system(request):
     return run_level(config, mesh, ManufacturedSolution())["system"]
 
 
+def zero_first_row(system):
+    """The system with its first velocity row zeroed in every block."""
+    blocks = [list(row) for row in system.blocks]
+    for d, block in enumerate(blocks[0]):
+        block = block.tolil()
+        block[0, :] = 0.0
+        blocks[0][d] = block.tocsr()
+    return AssembledSystem(blocks=blocks, rhs=system.rhs, layout=system.layout)
+
+
 class TestSolve:
     def test_manufactured_consistency(self, level1_system):
         system, _, _ = level1_system
         rng = np.random.default_rng(0)
         x_star = rng.standard_normal(system.matrix.shape[0])
         b_star = system.matrix @ x_star
-        shadow = AssembledSystem(matrix=system.matrix, rhs=b_star, layout=system.layout)
+        shadow = AssembledSystem(blocks=system.blocks, rhs=b_star, layout=system.layout)
         sol = solve(shadow)
         recovered = np.concatenate(
             [sol.u_coeffs.ravel(), sol.p_coeffs, [sol.multiplier]]
@@ -59,11 +69,8 @@ class TestSolve:
     def test_singular_raises(self, level1_system):
         # a zero velocity row makes the A_u block of the preconditioner singular
         system, _, _ = level1_system
-        matrix = system.matrix.tolil()
-        matrix[0, :] = 0.0
-        singular = AssembledSystem(matrix=matrix.tocsr(), rhs=system.rhs, layout=system.layout)
         with pytest.raises(solver_mod.SingularSystemError, match="exactly singular"):
-            solve(singular)
+            solve(zero_first_row(system))
 
     def test_block_gmres_matches_factor(self, level0_system):
         system = level0_system
@@ -82,6 +89,19 @@ class TestSolve:
         n_u, n_p = system.layout.n_u, system.layout.n_p
         settings = TestSymmetricMode.SETTINGS
         assert splu_calls == [((n_u, n_u), settings), ((n_p, n_p), settings)]
+
+    @pytest.mark.parametrize("case", [1, 6])
+    def test_solve_reads_the_block_grid(self, case):
+        """A solve neither stacks the bordered matrix nor copies the
+        couplings: the preconditioner multiplies by the system's own blocks."""
+        config = case_config(case, n_cells0=8)
+        mesh = build_background(config.box, config.n_cells0)
+        system = run_level(config, mesh, ManufacturedSolution())["system"]
+        solve(system)
+        assert "matrix" not in vars(system)
+        inner = solver_mod._BorderedOperator(system, solver_mod._BlockTriangle).inner
+        for c in range(3):
+            assert inner.coupling[c] is system.blocks[c][3]
 
     def test_solves_end_within_one_restart_cycle(self, level0_system):
         # a solve that ends before GMRES's first restart does not depend on
@@ -150,11 +170,8 @@ class TestSymmetricMode:
 
     def test_singular_grounded_block_raises(self, level1_system):
         system, _, _ = level1_system
-        matrix = system.matrix.tolil()
-        matrix[0, :] = 0.0
-        singular = AssembledSystem(matrix=matrix.tocsr(), rhs=system.rhs, layout=system.layout)
         with pytest.raises(solver_mod.SingularSystemError, match="exactly singular"):
-            Factorization(singular)
+            Factorization(zero_first_row(system))
 
 
 class TestEstimateCondition:
