@@ -113,7 +113,7 @@ def _cell_tab(space: FESpace, ds: DiscreteSurface):
     """Per-cell basis values (nc, m, nb) and gradients (nc, m, nb, 3) at the
     surface quadrature points of ds, typically one chunk of a surface."""
     nc, m = ds.qp_weights.shape
-    values, grads, _ = fe_space.tabulate(space, ds.point_active, ds.lambdas)
+    values, grads = fe_space.tabulate(space, ds.point_active, ds.lambdas)
     nb = values.shape[1]
     return values.reshape(nc, m, nb), grads.reshape(nc, m, nb, 3)
 
@@ -184,17 +184,14 @@ def assemble_surface_mass(space: FESpace, ds: DiscreteSurface) -> sp.csr_matrix:
     return _scatter(data, dofs, dofs, (n, n))
 
 
-def assemble_surface_stiffness(
-    space: FESpace, ds: DiscreteSurface, tangential: bool = False
-) -> sp.csr_matrix:
-    """(grad w, grad v) over the discrete surface; optionally the discrete
-    tangential gradients P_h grad with P_h = I - n_h (x) n_h."""
+def assemble_surface_stiffness(space: FESpace, ds: DiscreteSurface) -> sp.csr_matrix:
+    """(grad_h w, grad_h v) over the discrete surface, with the discrete
+    tangential gradients P_h grad, P_h = I - n_h (x) n_h."""
 
     def kernel(chunk):
         _, grads = _cell_tab(space, chunk)
-        if tangential:
-            normals = chunk.qp_normals
-            grads = grads - (grads @ normals[..., None]) * normals[:, :, None, :]
+        normals = chunk.qp_normals
+        grads = grads - (grads @ normals[..., None]) * normals[:, :, None, :]
         return (_grad_gram(chunk.qp_weights, grads),)
 
     (data,) = _per_cell(ds, kernel)
@@ -221,17 +218,11 @@ def assemble_bulk_mass(space: FESpace, active: ActiveMesh) -> sp.csr_matrix:
     if space.active_mesh is not active:
         raise AssemblyError("space was built on a different active mesh")
     bary, w = tet_rule(2)
-    shape_vals = shapes.tet_p1_values(bary)  # (m, nb)
+    shape_vals = shapes.tet_values(1, bary)  # (m, nb)
     # the reference-tet mass matrix, scaled by each tet's volume
-    data = _tet_volumes(active)[:, None, None] * _gram(w, shape_vals, shape_vals)
+    data = active.volumes[:, None, None] * _gram(w, shape_vals, shape_vals)
     n = space.global_dofs
     return _scatter(data, space.cell_dofs, space.cell_dofs, (n, n))
-
-
-def _tet_volumes(active: ActiveMesh):
-    v = active.tet_vertices
-    edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=1)
-    return np.abs(np.linalg.det(edges)) / 6.0
 
 
 def assemble_stabilization(
@@ -253,8 +244,8 @@ def assemble_stabilization(
     active = ds.active
     if space.active_mesh is not active:
         raise AssemblyError("space was built on a different active mesh")
-    if tau <= 0.0:
-        raise AssemblyError("stabilization parameter tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise AssemblyError("stabilization parameter tau must be positive and finite")
     if not 0.0 <= alpha <= 2.0:
         raise AssemblyError("stabilization exponent alpha must lie in [0, 2]")
     if kind not in (Stabilization.FULL_GRADIENT, Stabilization.NORMAL_GRADIENT):
@@ -262,17 +253,13 @@ def assemble_stabilization(
 
     degree = max(2 * (space.order - 1), 1)
     bary, w = tet_rule(degree)
-    volumes = _tet_volumes(active)
+    volumes = active.volumes
     scale = tau * active.h ** (alpha - 1.0)
 
     def kernel(tets):
         weights = volumes[tets, None] * w  # (t, m)
         lam_grads = active.lam_grads[tets, None]  # (t, 1, 4, 3)
-        if space.order == 1:
-            # in C order, as in `fe_space.tabulate`
-            grads = np.ascontiguousarray(np.broadcast_to(lam_grads, weights.shape + (4, 3)))
-        else:
-            grads = shapes.tet_p2_gradients(bary, lam_grads)  # (t, m, 10, 3)
+        grads = shapes.tet_gradients(space.order, bary, lam_grads)  # (t, m, nb, 3)
         if kind == Stabilization.FULL_GRADIENT:
             data = _grad_gram(weights, grads)
         else:

@@ -145,6 +145,10 @@ def _parse_args(argv):
 def _validate(args):
     if getattr(args, "case", None) is not None and args.case not in CASE_TABLE:
         raise ValueError(f"case must be in {sorted(CASE_TABLE)}")
+    # NaN, and inf for tau and the box, would pass the range checks below
+    for flag in ("tau", "offset", "box"):
+        if hasattr(args, flag) and not np.all(np.isfinite(getattr(args, flag))):
+            raise ValueError(f"{flag} must be finite")
     if args.tau <= 0.0:
         raise ValueError("tau must be positive")
     if not 0.0 <= args.alpha <= 2.0:

@@ -187,17 +187,11 @@ class TetInterpolant:
         return cls(verts, order, values.reshape(nodes.shape[:-1]))
 
     def value_at(self, lam):
-        basis = shapes.tet_p1_values(lam) if self.order == 1 else shapes.tet_p2_values(lam)
-        return np.einsum("...k,...k->...", basis, self.values)
+        return np.einsum("...k,...k->...", shapes.tet_values(self.order, lam), self.values)
 
     def dvalue_at(self, lam):
         """Derivatives with respect to the 4 barycentric coords: (..., 4)."""
-        lam = np.asarray(lam, dtype=float)
-        if self.order == 2:
-            return shapes.tet_p2_dlam(lam, self.values)
-        # P1: the nodal values themselves, at every point
-        shape = np.broadcast_shapes(self.values.shape, lam.shape)
-        return np.broadcast_to(self.values, shape).copy()
+        return shapes.tet_dlam(self.order, lam, self.values)
 
     def gradient_at(self, lam):
         return (self.dvalue_at(lam)[..., None, :] @ self.lam_grads)[..., 0, :]
@@ -447,12 +441,8 @@ def _attach_quadrature(k_g, nodes, node_lambdas, flips, bary, w):
     """Quadrature points, their barycentrics in the parent tet, weights and
     oriented unit normals of the cell maps at the reference rule (bary, w),
     as `DiscreteSurface` fields."""
-    if k_g == 1:
-        values = shapes.tri_p1_values(bary)  # (m, 3)
-        dvalues = shapes.tri_p1_dvalues(bary)  # (m, 3, 3)
-    else:
-        values = shapes.tri_p2_values(bary)  # (m, 6)
-        dvalues = shapes.tri_p2_dvalues(bary)  # (m, 6, 3)
+    values = shapes.tri_values(k_g, bary)  # (m, nn)
+    dvalues = shapes.tri_dvalues(k_g, bary)  # (m, nn, 3)
     # reference derivatives via lam = (1 - xi - eta, xi, eta)
     dlam_dxi = np.array([-1.0, 1.0, 0.0])
     dlam_deta = np.array([-1.0, 0.0, 1.0])

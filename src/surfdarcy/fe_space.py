@@ -12,6 +12,8 @@ gradients of the barycentric coordinates are those of the active mesh, which
 computes them once for all spaces built on it.  Assembly needs the basis
 tables (`tabulate`); a function with given coefficients is evaluated from
 its local coefficients without them (`evaluate`, `evaluate_gradient`).
+The basis of each order is chosen in `shapes` only: every function here
+passes the space's order to it.
 """
 
 from __future__ import annotations
@@ -73,22 +75,13 @@ def tabulate(space: FESpace, cell_positions, lambdas):
 
     cell_positions: (n,) active-mesh tet positions; lambdas: (n, 4)
     barycentric coordinates in those tets, such as `DiscreteSurface.lambdas`.
-    Returns values (n, nb), gradients (n, nb, 3), dofs (n, nb).  The
-    gradients are formed in closed form from the barycentric gradients: P1's
-    are those gradients themselves, and no (n, nb, 4) table of barycentric
-    derivatives is made.
+    Returns values (n, nb) and gradients (n, nb, 3), the latter formed from
+    the barycentric gradients (`shapes.tet_gradients`).
     """
     cells = np.asarray(cell_positions, dtype=np.int64)
     lam = np.asarray(lambdas, dtype=float)
     lam_grads = space.active_mesh.lam_grads[cells]
-    if space.order == 1:
-        # in C order, like the P2 gradients: the mesh stores them
-        # transposed, and assembly's batched products round differently on
-        # that layout, which would move the assembled values by round-off
-        grads = np.ascontiguousarray(lam_grads)
-        return shapes.tet_p1_values(lam), grads, space.cell_dofs[cells]
-    grads = shapes.tet_p2_gradients(lam, lam_grads)
-    return shapes.tet_p2_values(lam), grads, space.cell_dofs[cells]
+    return shapes.tet_values(space.order, lam), shapes.tet_gradients(space.order, lam, lam_grads)
 
 
 def evaluate(space: FESpace, coeffs, cell_positions, lambdas):
@@ -97,8 +90,7 @@ def evaluate(space: FESpace, coeffs, cell_positions, lambdas):
     cells = np.asarray(cell_positions, dtype=np.int64)
     lam = np.asarray(lambdas, dtype=float)
     local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
-    values = shapes.tet_p1_values(lam) if space.order == 1 else shapes.tet_p2_values(lam)
-    return np.einsum("nb,...nb->n...", values, local)
+    return np.einsum("nb,...nb->n...", shapes.tet_values(space.order, lam), local)
 
 
 def evaluate_gradient(space: FESpace, coeffs, cell_positions, lambdas):
@@ -113,5 +105,5 @@ def evaluate_gradient(space: FESpace, coeffs, cell_positions, lambdas):
     cells = np.asarray(cell_positions, dtype=np.int64)
     lam = np.asarray(lambdas, dtype=float)
     local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
-    dlam = local if space.order == 1 else shapes.tet_p2_dlam(lam, local)
+    dlam = shapes.tet_dlam(space.order, lam, local)
     return np.einsum("...ni,nix->n...x", dlam, space.active_mesh.lam_grads[cells])

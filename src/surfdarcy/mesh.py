@@ -103,6 +103,14 @@ class ActiveMesh:
         level-set interpolants."""
         return barycentric_gradients(self.tet_vertices)
 
+    @cached_property
+    def volumes(self):
+        """(n_active,) volumes of the active tets, computed once per active
+        mesh for the bulk mass and every stabilization assembled on it."""
+        v = self.tet_vertices
+        edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=1)
+        return np.abs(np.linalg.det(edges)) / 6.0
+
     def __len__(self):
         return len(self.active_tets)
 

@@ -203,7 +203,7 @@ def lemma_ratio_suite(
             active.h,
             assemble_bulk_mass(space, active),
             assemble_surface_mass(space, ds),
-            assemble_surface_stiffness(space, ds, tangential=True),
+            assemble_surface_stiffness(space, ds),
             surface_load_vector(space, ds),
             ds.total_area,
         )

@@ -254,6 +254,13 @@ class TestAssembledStructure:
                 vspace, ds, Stabilization.FULL_GRADIENT, tau=0.0, alpha=2.0
             )
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_raises(self, tau, torus_level1):
+        torus, active, ds = torus_level1
+        vspace = build_space(active, 1)
+        with pytest.raises(AssemblyError, match="finite"):
+            assemble_stabilization(vspace, ds, Stabilization.FULL_GRADIENT, tau, 2.0)
+
 
 class TestStabilization:
     def test_constant_in_kernel(self, torus_level1):
@@ -320,10 +327,13 @@ class TestHelpers:
         assert ones @ (mass @ ones) == pytest.approx(ds.total_area, rel=1e-12)
 
     def test_tangential_stiffness_bounded_by_full(self, torus_level1):
+        # the unstabilized pressure block is half the full-gradient stiffness
         torus, active, ds = torus_level1
         space = build_space(active, 1)
-        full = assemble_surface_stiffness(space, ds, tangential=False)
-        tan = assemble_surface_stiffness(space, ds, tangential=True)
+        exact = ManufacturedSolution()
+        system = assemble((space, space), ds, (exact.f_field, exact.g_field))
+        full = 2.0 * system.blocks[3][3]
+        tan = assemble_surface_stiffness(space, ds)
         rng = np.random.default_rng(13)
         for _ in range(20):
             x = rng.standard_normal(space.global_dofs)

@@ -62,6 +62,32 @@ def test_invalid_tau_is_config_error(capsys):
     assert main(["converge", "--case", "1", "--levels", "1", "--tau", "-1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--tau", "nan"],
+        ["--tau", "inf"],
+        ["--offset=nan,0,0"],
+        ["--offset=0,-inf,0"],
+        ["--box=-2,inf"],
+    ],
+)
+def test_non_finite_value_is_config_error(extra, capsys, splu_calls):
+    assert main(["converge", "--case", "1", "--levels", "1", "--ncells0", "8", *extra]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "must be finite" in err
+    assert not splu_calls
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_file_non_finite_tau_is_config_error(value, tmp_path, capsys, splu_calls):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tau = {value}\n")
+    assert main(["converge", "--case", "1", "--levels", "1", f"--config={cfg}"]) == 1
+    assert "tau must be finite" in capsys.readouterr().err
+    assert not splu_calls
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tau = 0.3\nlevels = 1\n# comment\n")

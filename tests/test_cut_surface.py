@@ -296,7 +296,7 @@ class TestTorusSurface:
             ],
             axis=1,
         )
-        basis = shapes.tet_p2_values(lam)  # (nc, 6, 10)
+        basis = shapes.tet_values(2, lam)  # (nc, 6, 10)
         residual = np.einsum("cnk,ck->cn", basis, nodal)
         assert np.abs(residual).max() < 1e-11
 

@@ -130,6 +130,13 @@ class TestExtractActive:
             ratio = counts[k] / counts[k - 1]
             assert 3.0 <= ratio <= 5.0
 
+    def test_volumes_are_the_kuhn_tets_computed_once(self):
+        mesh = build_background(n_cells=14)
+        active = extract_active(mesh, Torus().signed_distance(mesh.vertices))
+        npt.assert_allclose(active.volumes, _tet_signed_volumes(mesh)[active.active_tets])
+        npt.assert_allclose(active.volumes, mesh.h**3 / 6.0, rtol=1e-12)
+        assert active.volumes is active.volumes
+
     def test_not_resolved_raises(self):
         mesh = build_background(UNIT_BOX, 2)
         with pytest.raises(MeshError, match="not resolved"):
