@@ -1,8 +1,9 @@
 """Command-line front end: convergence studies, property-check suites, and
-VTK exports.
+VTK exports.  README.md at the root of the repository describes the commands
+and their flags.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
-3 check-suite failure.
+Exit codes: 0 success, 1 configuration or usage error (an output that cannot
+be written included), 2 numerical failure, 3 check-suite failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ from .mesh import (
     build_background,
     refine_uniform,
 )
-from .quadrature import TRIANGLE_MAX_DEGREE
 from .solver import SingularSystemError
 from .suites import (
     geometric_rate_suite,
@@ -43,16 +44,11 @@ from .verification import (
 __all__ = ["main"]
 
 
-def _parse_vector(text, length=3):
+def _parse_vector(text):
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != length:
-        raise argparse.ArgumentTypeError(f"expected {length} comma-separated values")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expected 3 comma-separated values")
     return tuple(parts)
-
-
-def _parse_box(text):
-    lo, hi = _parse_vector(text, 2)
-    return ((lo, hi), (lo, hi), (lo, hi))
 
 
 def _load_config_file(path):
@@ -92,12 +88,8 @@ def _build_parser():
         p.add_argument("--offset", type=_parse_vector, default=(0.0, 0.0, 0.0))
 
     def add_study(p):
-        # the grid and the quadrature of a solve; the suites of `check` fix
-        # their own
+        # the coarsest grid of a solve; the suites of `check` fix their own
         p.add_argument("--ncells0", type=int, default=DEFAULT_N_CELLS)
-        p.add_argument("--box", type=_parse_box, default=DEFAULT_BOX)
-        p.add_argument("--quad-degree", type=int, default=4)
-        p.add_argument("--quad-degree-err", type=int, default=6)
 
     conv = sub.add_parser("converge", help="run a convergence study")
     conv.add_argument("--case", type=int, required=True, help="study case 1..6")
@@ -145,9 +137,9 @@ def _parse_args(argv):
 def _validate(args):
     if getattr(args, "case", None) is not None and args.case not in CASE_TABLE:
         raise ValueError(f"case must be in {sorted(CASE_TABLE)}")
-    # NaN, and inf for tau and the box, would pass the range checks below
-    for flag in ("tau", "offset", "box"):
-        if hasattr(args, flag) and not np.all(np.isfinite(getattr(args, flag))):
+    # NaN, and inf for tau, would pass the range checks below
+    for flag in ("tau", "offset"):
+        if not np.all(np.isfinite(getattr(args, flag))):
             raise ValueError(f"{flag} must be finite")
     if args.tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -165,29 +157,40 @@ def _validate(args):
         raise ValueError("check needs translations >= 1")
     if getattr(args, "ncells0", 1) < 1:
         raise ValueError("ncells0 must be >= 1")
-    # both degrees select a triangle rule
-    for flag in ("quad_degree", "quad_degree_err"):
-        if hasattr(args, flag) and not 1 <= getattr(args, flag) <= TRIANGLE_MAX_DEGREE:
-            raise ValueError(f"{flag} must lie in [1, {TRIANGLE_MAX_DEGREE}]")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be >= 0")
+    # the outputs are written after the study: a path that cannot take them
+    # is rejected before it
+    for flag in ("csv", "markdown"):
+        path = getattr(args, flag, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag}: cannot write a file at {path}")
+    vtk_dir = Path(getattr(args, "vtk_dir", None) or ".")
+    if any(p.exists() and not p.is_dir() for p in (vtk_dir, *vtk_dir.parents)):
+        raise ValueError(f"vtk-dir: {vtk_dir} is or lies below a file")
     # the torus reaches R + r from its center in x and y, and r in z
     torus = ManufacturedSolution().surface
     reach = np.array([torus.R + torus.r, torus.R + torus.r, torus.r])
-    lo, hi = np.array(getattr(args, "box", DEFAULT_BOX), dtype=float).T
+    lo, hi = np.array(DEFAULT_BOX, dtype=float).T
     offset = np.asarray(args.offset, dtype=float)
     if np.any(offset - reach <= lo) or np.any(offset + reach >= hi):
         raise ValueError(f"offset {tuple(args.offset)} moves the torus outside the box")
 
 
 def _config_from_args(args):
-    return dict(
-        tau=args.tau,
-        alpha=args.alpha,
-        n_cells0=args.ncells0,
-        box=args.box,
-        offset=args.offset,
-        quad_degree=args.quad_degree,
-        quad_degree_err=args.quad_degree_err,
-    )
+    return dict(tau=args.tau, alpha=args.alpha, n_cells0=args.ncells0, offset=args.offset)
+
+
+class _OutputError(Exception):
+    """An OSError raised while a command writes its outputs."""
+
+
+@contextmanager
+def _writing():
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _cmd_converge(args):
@@ -199,24 +202,26 @@ def _cmd_converge(args):
     )
     report = run_case(config, levels=args.levels, case=args.case)
     print(report_to_markdown(report), end="")
-    if args.csv:
-        Path(args.csv).write_text(report_to_csv(report))
-        print(f"wrote {args.csv}")
-    if args.markdown:
-        Path(args.markdown).write_text(report_to_markdown(report))
-        print(f"wrote {args.markdown}")
-    if args.vtk_dir:
-        _write_level(args.case, args.levels, report.finest, Path(args.vtk_dir))
+    with _writing():
+        if args.csv:
+            Path(args.csv).write_text(report_to_csv(report))
+            print(f"wrote {args.csv}")
+        if args.markdown:
+            Path(args.markdown).write_text(report_to_markdown(report))
+            print(f"wrote {args.markdown}")
+        if args.vtk_dir:
+            _write_level(args.case, args.levels, report.finest, Path(args.vtk_dir))
     return 0
 
 
 def _cmd_export(args):
     config = case_config(args.case, **_config_from_args(args))
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     for _ in range(args.level):
         mesh = refine_uniform(mesh)
     out = run_level(config, mesh, ManufacturedSolution(offset=config.offset))
-    _write_level(args.case, args.level, out, Path(args.vtk_dir))
+    with _writing():
+        _write_level(args.case, args.level, out, Path(args.vtk_dir))
     return 0
 
 
@@ -307,8 +312,9 @@ def _run(argv) -> int:
             return _cmd_check(args)
         if args.command == "export":
             return _cmd_export(args)
-    except MeshError as exc:
-        # a grid too coarse to resolve the surface
+    except (MeshError, _OutputError) as exc:
+        # a grid too coarse to resolve the surface, or an output that cannot
+        # be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (SingularSystemError, np.linalg.LinAlgError, ArithmeticError) as exc:

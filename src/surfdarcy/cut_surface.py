@@ -37,11 +37,16 @@ __all__ = [
     "surface_mean",
     "with_quadrature",
     "CutSurfaceError",
+    "QUAD_DEGREE",
 ]
 
 log = logging.getLogger(__name__)
 
 SLIVER_FACTOR = 1e-14
+
+# degree of the triangle rule on the surface cells, which the surface forms
+# are integrated with
+QUAD_DEGREE = 4
 
 # surface cells, or active tets, per chunk of the work done at quadrature
 # points (assembly, stabilization, error sums), so that no array with a row
@@ -168,7 +173,7 @@ class TetInterpolant:
         self.values = np.asarray(values, dtype=float)
         if self.order not in (1, 2):
             raise ValueError("interpolation order must be 1 or 2")
-        n_nodes = 4 if order == 1 else 10
+        n_nodes = len(shapes.tet_nodes(self.order))
         if self.values.shape[-1:] != (n_nodes,):
             raise ValueError(f"expected {n_nodes} nodal values for order {order}")
 
@@ -180,9 +185,7 @@ class TetInterpolant:
     def of_field(cls, tet_vertices, order, field):
         """Interpolate `field`, evaluated in one call on all nodes."""
         verts = np.asarray(tet_vertices, dtype=float)
-        nodes = verts if order == 1 else np.concatenate(
-            [verts, shapes.tet_edge_midpoints(verts)], axis=-2
-        )
+        nodes = shapes.tet_nodes(order) @ verts
         values = np.asarray(field(nodes.reshape(-1, 3)), dtype=float)
         return cls(verts, order, values.reshape(nodes.shape[:-1]))
 
@@ -357,13 +360,9 @@ def _line_roots(phi: TetInterpolant, lam0, dlam, h):
 # ---------------------------------------------------------------------------
 
 
-def build_surface(
-    active: ActiveMesh,
-    surface: ImplicitSurface,
-    k_g: int = 1,
-    quad_degree: int = 4,
-) -> DiscreteSurface:
-    """Extract the discrete surface of geometry order k_g from the active mesh."""
+def build_surface(active: ActiveMesh, surface: ImplicitSurface, k_g: int = 1) -> DiscreteSurface:
+    """Extract the discrete surface of geometry order k_g from the active
+    mesh, with the triangle rule of degree QUAD_DEGREE on its cells."""
     if k_g not in (1, 2):
         raise ValueError("geometry order k_g must be 1 or 2")
     phi = TetInterpolant.of_field(active.tet_vertices, k_g, surface.signed_distance)
@@ -403,7 +402,7 @@ def build_surface(
         nodes=nodes,
         node_lambdas=node_lam,
         flips=flips,
-        **_attach_quadrature(k_g, nodes, node_lam, flips, *triangle_rule(quad_degree)),
+        **_attach_quadrature(k_g, nodes, node_lam, flips, *triangle_rule(QUAD_DEGREE)),
     )
 
 
@@ -417,15 +416,7 @@ def _lift_cells(phi, lam3, h, exact_normal):
     base surface, so even needle-shaped base cells (surface grazing a mesh
     vertex) stay fold-free.
     """
-    lam6 = np.concatenate(
-        [
-            lam3,
-            np.stack(
-                [0.5 * (lam3[:, a] + lam3[:, b]) for a, b in shapes.TRI_EDGES], axis=1
-            ),
-        ],
-        axis=1,
-    )  # (nc, 6, 4)
+    lam6 = shapes.tri_nodes(2) @ lam3  # (nc, 6, 4)
     d = phi.normal_at(lam6, exact_normal)  # (nc, 6, 3)
     dlam = (phi.lam_grads @ d[..., None])[..., 0]
     t, resolved = _line_roots(phi, lam6, dlam, h)

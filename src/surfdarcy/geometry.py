@@ -125,22 +125,23 @@ class Torus(ImplicitSurface):
         return ring + (self.r / q)[:, None] * (y - ring) + np.asarray(self.center)
 
 
-def fd_gradient(f, x, step: float = FD_STEP):
-    """Central-difference gradient (n, 3) of a scalar field at (n, 3) points."""
+def fd_gradient(f, x):
+    """Central-difference gradient (n, 3) of a scalar field at (n, 3) points,
+    with step FD_STEP."""
     grad = np.empty_like(x)
     for j in range(3):
         e = np.zeros(3)
-        e[j] = step
-        grad[:, j] = (f(x + e) - f(x - e)) / (2 * step)
+        e[j] = FD_STEP
+        grad[:, j] = (f(x + e) - f(x - e)) / (2 * FD_STEP)
     return grad
 
 
-def fd_jacobian(f, x, step: float = FD_STEP):
+def fd_jacobian(f, x):
     """Central-difference Jacobian J[n, i, j] = d f_i / d x_j (n, 3, 3) of a
-    vector field at (n, 3) points."""
+    vector field at (n, 3) points, with step FD_STEP."""
     jac = np.empty((len(x), 3, 3))
     for j in range(3):
         e = np.zeros(3)
-        e[j] = step
-        jac[:, :, j] = (f(x + e) - f(x - e)) / (2 * step)
+        e[j] = FD_STEP
+        jac[:, :, j] = (f(x + e) - f(x - e)) / (2 * FD_STEP)
     return jac

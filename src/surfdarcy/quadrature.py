@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["triangle_rule", "tet_rule", "TRIANGLE_MAX_DEGREE"]
+__all__ = ["triangle_rule", "tet_rule"]
 
 
 def _symmetrize(groups):
@@ -54,7 +54,6 @@ _TRI_GROUPS = {
         ((0.636502499121399, 0.310352451033785, 0.053145049844816), 0.082851075618374),
     ],
 }
-TRIANGLE_MAX_DEGREE = max(_TRI_GROUPS)
 
 
 @lru_cache(maxsize=None)

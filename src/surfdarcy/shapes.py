@@ -2,8 +2,9 @@
 barycentric form, plus the affine helpers shared by the surface extraction
 and the finite element spaces.
 
-The basis of each order is chosen here only: the spaces, phi_h, the surface
-cells and the stabilization pass their order to these functions.  Physical
+The basis of each order and its nodes (`tet_nodes`, `tri_nodes`) are chosen
+here only: the spaces, phi_h, the surface cells, the stabilization and the
+VTK export pass their order to these functions.  Physical
 gradients enter only through `tet_gradients` and `tet_dlam`.
 """
 
@@ -16,6 +17,25 @@ TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # local edge numbering of a triangle, matching VTK quadratic-triangle order
 TRI_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def _nodes(order, n, edges):
+    """Barycentric coordinates of the Lagrange nodes of a simplex with n
+    vertices: the vertices, then for P2 the midpoints of `edges`."""
+    vertices = np.eye(n)
+    if order == 1:
+        return vertices
+    return np.vstack([vertices, [0.5 * (vertices[a] + vertices[b]) for a, b in edges]])
+
+
+def tet_nodes(order):
+    """(4, 4) for P1, (10, 4) for P2: the nodes of `tet_values`' basis."""
+    return _nodes(order, 4, TET_EDGES)
+
+
+def tri_nodes(order):
+    """(3, 3) for P1, (6, 3) for P2: the nodes of `tri_values`' basis."""
+    return _nodes(order, 3, TRI_EDGES)
 
 
 def _values(order, lam, edges):
@@ -115,10 +135,3 @@ def barycentric_gradients(tet_vertices):
     g0 = -grads.sum(axis=-2, keepdims=True)
     return np.concatenate([g0, grads], axis=-2)
 
-
-def tet_edge_midpoints(tet_vertices):
-    """Midpoints of the 6 tet edges: (..., 4, 3) -> (..., 6, 3)."""
-    v = np.asarray(tet_vertices, dtype=float)
-    return np.stack(
-        [0.5 * (v[..., a, :] + v[..., b, :]) for a, b in TET_EDGES], axis=-2
-    )

@@ -78,6 +78,10 @@ log = logging.getLogger(__name__)
 RESTART = 40
 # GMRES iteration cap, 25 restart cycles
 MAX_ITERATIONS = 1000
+# power iteration of `estimate_condition`: the iteration cap, and the
+# relative change of the estimate at which it stops
+POWER_MAX_ITER = 30
+POWER_RTOL = 1e-3
 
 
 class SingularSystemError(RuntimeError):
@@ -254,18 +258,18 @@ def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
     )
 
 
-def _power_iteration(apply_op, n, rng, max_iter=30, rtol=1e-3):
+def _power_iteration(apply_op, n, rng):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     estimate = 0.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = apply_op(v)
         new_estimate = float(np.linalg.norm(w))
         if new_estimate == 0.0:
             return 0.0, True
         v = w / new_estimate
-        if estimate > 0.0 and abs(new_estimate - estimate) <= rtol * estimate:
+        if estimate > 0.0 and abs(new_estimate - estimate) <= POWER_RTOL * estimate:
             estimate = new_estimate
             converged = True
             break
@@ -275,8 +279,9 @@ def _power_iteration(apply_op, n, rng, max_iter=30, rtol=1e-3):
 
 def estimate_condition(factorization: Factorization, seed: int = 0) -> float:
     """2-norm condition estimate of a factorized system, by power iteration
-    on A A^T and on its inverse through the factor (30 iterations, 1e-3
-    relative-change stop).  A non-converged estimate is returned as-is and
+    on A A^T and on its inverse through the factor: at most POWER_MAX_ITER
+    iterations each, stopped once an estimate changes by at most POWER_RTOL
+    relative to the last.  A non-converged estimate is returned as-is and
     logged as approximate."""
     a = factorization.system.matrix
     lu = factorization._lu

@@ -55,6 +55,9 @@ GEOMETRY_ORDERS = (1, 2)
 # the largest growth of a stability-lemma ratio from the coarsest level to
 # the finest that lemma_ratio_suite passes
 LEMMA_GROWTH = 1.5
+# the random P1 coefficient vectors per level and stabilization that
+# lemma_ratio_suite takes the largest ratios over
+LEMMA_SAMPLES = 30
 # the largest spread max/min of the positioning suite's condition estimates
 SPREAD_LIMIT = 100.0
 
@@ -139,7 +142,7 @@ def geometric_rate_suite(offset=(0.0, 0.0, 0.0), levels=(1, 2, 3)) -> SuiteResul
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
         hs.append(mesh.h)
         for k_g in GEOMETRY_ORDERS:
-            ds = build_surface(active, surface, k_g=k_g, quad_degree=4)
+            ds = build_surface(active, surface, k_g=k_g)
             dist[k_g].append(ds.max_distance())
             nerr[k_g].append(ds.max_normal_error())
 
@@ -157,15 +160,15 @@ def geometric_rate_suite(offset=(0.0, 0.0, 0.0), levels=(1, 2, 3)) -> SuiteResul
     return result
 
 
-def _lemma_ratios(forms, stab, n_samples, rng):
-    """Max measured ratios over random P1 coefficient vectors, given one
-    level's forms that do not depend on the stabilization and one
+def _lemma_ratios(forms, stab, rng):
+    """Max measured ratios over LEMMA_SAMPLES random P1 coefficient vectors,
+    given one level's forms that do not depend on the stabilization and one
     stabilization matrix."""
     h, mass_bulk, mass_surf, stiff_tan, load, area = forms
     scaled_l2 = 0.0
     poincare = 0.0
     n = len(load)
-    for _ in range(n_samples):
+    for _ in range(LEMMA_SAMPLES):
         v = rng.standard_normal(n)
         bulk = v @ (mass_bulk @ v)
         surf = v @ (mass_surf @ v)
@@ -182,7 +185,6 @@ def _lemma_ratios(forms, stab, n_samples, rng):
 def lemma_ratio_suite(
     offset=(0.0, 0.0, 0.0),
     levels=(1, 2, 3),
-    n_samples: int = 30,
     tau: float = 0.1,
     alpha: float = 2.0,
     seed: int = 0,
@@ -198,7 +200,7 @@ def lemma_ratio_suite(
     for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
         space = fe_space.build_space(active, 1)
-        ds = build_surface(active, surface, k_g=1, quad_degree=4)
+        ds = build_surface(active, surface, k_g=1)
         forms = (
             active.h,
             assemble_bulk_mass(space, active),
@@ -209,7 +211,7 @@ def lemma_ratio_suite(
         )
         for kind in _KINDS:
             stab = assemble_stabilization(space, ds, kind, tau, alpha)
-            ratios[kind].append(_lemma_ratios(forms, stab, n_samples, rngs[kind]))
+            ratios[kind].append(_lemma_ratios(forms, stab, rngs[kind]))
 
     for kind in _KINDS:
         (first, p_first), (last, p_last) = ratios[kind][0], ratios[kind][-1]
@@ -235,7 +237,7 @@ def _solve_translation(mesh, tau, alpha, seed, delta) -> list:
     exact = ManufacturedSolution(offset=offset)
     surface = exact.surface
     active = extract_active(mesh, surface.signed_distance(mesh.vertices))
-    ds = build_surface(active, surface, k_g=1, quad_degree=4)
+    ds = build_surface(active, surface, k_g=1)
     spaces = (fe_space.build_space(active, 1),) * 2
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
     records = []

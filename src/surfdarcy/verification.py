@@ -1,13 +1,13 @@
 """Manufactured torus solution, discrete error norms, EOC computation, and
 the convergence-study driver for the six mixed-order/stabilization cases.
 
-A level's error norms are quadrature sums over the surface's cells at a
-higher-degree rule.  `compute_errors` builds that rule's points for one
-chunk of `cut_surface.CHUNK_CELLS` cells at a time and adds up each chunk's
-squared errors.  Only the two pressures and the weights are kept for every
-error point, because the exact pressure's mean shift is taken over the
-whole surface.  No array with a row per error point of any other kind is
-held for a whole level.
+A level's error norms are quadrature sums over the surface's cells at the
+higher-degree rule of ERROR_QUAD_DEGREE.  `compute_errors` builds that rule's
+points for one chunk of `cut_surface.CHUNK_CELLS` cells at a time and adds up
+each chunk's squared errors.  Only the two pressures and the weights are
+kept for every error point, because the exact pressure's mean shift is taken
+over the whole surface.  No array with a row per error point of any other
+kind is held for a whole level.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .mesh import (
 from .solver import Solution, solve
 
 __all__ = [
+    "ERROR_QUAD_DEGREE",
     "ManufacturedSolution",
     "ErrorTriple",
     "LevelResult",
@@ -52,6 +53,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# degree of the triangle rule that the error norms re-sample the surface
+# cells with, above the surface forms' QUAD_DEGREE
+ERROR_QUAD_DEGREE = 6
+
 
 class ManufacturedSolution:
     """Closed-form torus solution: divergence-free tangential velocity,
@@ -63,8 +68,8 @@ class ManufacturedSolution:
     `compute_errors`) or with `ImplicitSurface.extend_vector`.
     """
 
-    def __init__(self, R: float = 1.0, r: float = 0.5, offset=(0.0, 0.0, 0.0)):
-        self.surface = Torus(R=float(R), r=float(r), center=tuple(offset))
+    def __init__(self, offset=(0.0, 0.0, 0.0)):
+        self.surface = Torus(center=tuple(offset))
 
     def _on_torus(self, x):
         """Undo the translation of surface points: coordinates relative to
@@ -150,10 +155,7 @@ class CaseConfig:
     tau: float = 0.1
     alpha: float = 2.0
     n_cells0: int = DEFAULT_N_CELLS
-    box: tuple = DEFAULT_BOX
     offset: tuple = (0.0, 0.0, 0.0)
-    quad_degree: int = 4
-    quad_degree_err: int = 6
 
 
 # (k_u, k_p, k_g, stabilization) of the six study cases
@@ -198,16 +200,17 @@ def solution_values(solution: Solution, spaces, ds: DiscreteSurface):
 
 
 def compute_errors(
-    solution: Solution, spaces, ds: DiscreteSurface, exact, degree: int
+    solution: Solution, spaces, ds: DiscreteSurface, exact
 ) -> tuple[ErrorTriple, float]:
     """Quadrature error norms of the discrete solution on the discrete
     surface, and its tangency defect (`tangency_defect`): (ErrorTriple, float).
 
-    The error quadrature is ds's cells re-sampled by the rule of `degree`
-    (`with_quadrature`).  It is built and worked through one chunk of cells
-    at a time (`DiscreteSurface.cell_chunks`): the chunk's discrete fields
-    are evaluated (`solution_values`), its points are projected once onto
-    the exact surface, and its squared errors are added up.
+    The error quadrature is ds's cells re-sampled by the rule of
+    ERROR_QUAD_DEGREE (`with_quadrature`).  It is built and worked through
+    one chunk of cells at a time (`DiscreteSurface.cell_chunks`): the chunk's
+    discrete fields are evaluated (`solution_values`), its points are
+    projected once onto the exact surface, and its squared errors are added
+    up.
 
     Velocity: all three components of the discrete field against the extended
     exact tangential field.  Pressure compares against the exact pressure with
@@ -220,7 +223,7 @@ def compute_errors(
     e_u_sq = e_g_sq = tangency_sq = 0.0
     p_h, p_e, w = [], [], []
     for _, chunk in ds.cell_chunks():
-        q = with_quadrature(chunk, degree)
+        q = with_quadrature(chunk, ERROR_QUAD_DEGREE)
         u_h, p_h_q, grad_p_h = solution_values(solution, spaces, q)
         on_surface = q.surface.closest_point(q.points)
         w_q = q.weights
@@ -275,7 +278,7 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     surface = exact.surface
     phi = surface.signed_distance(mesh.vertices)
     active = extract_active(mesh, phi)
-    ds = build_surface(active, surface, config.k_g, config.quad_degree)
+    ds = build_surface(active, surface, config.k_g)
     vspace = fe_space.build_space(active, config.k_u)
     pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
     spaces = (vspace, pspace)
@@ -290,7 +293,7 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
         solution.iterations,
         solution.residual_norm / np.linalg.norm(system.rhs),
     )
-    errors, defect = compute_errors(solution, spaces, ds, exact, config.quad_degree_err)
+    errors, defect = compute_errors(solution, spaces, ds, exact)
     return {
         "active": active,
         "ds": ds,
@@ -307,7 +310,7 @@ def run_case(config: CaseConfig, levels: int, case: int | None = None) -> Conver
     if levels < 1:
         raise ValueError("need at least two levels (levels >= 1)")
     exact = ManufacturedSolution(offset=config.offset)
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     results = []
     for level in range(levels + 1):
         # the previous level's surface, spaces and system are let go before
@@ -368,7 +371,7 @@ def report_to_markdown(report: ConvergenceReport) -> str:
         "",
         f"- orders: velocity {cfg.k_u}, pressure {cfg.k_p}, geometry {cfg.k_g}",
         f"- stabilization: {cfg.stab.value}, tau = {cfg.tau}, alpha = {cfg.alpha}",
-        f"- initial grid: {cfg.n_cells0} cells/dim on box {cfg.box}",
+        f"- initial grid: {cfg.n_cells0} cells/dim on box {DEFAULT_BOX}",
         f"- surface offset: {tuple(cfg.offset)}",
         f"- pressure H1 error uses the tangential discrete gradient",
         "",

@@ -13,18 +13,13 @@ import numpy as np
 
 from .cut_surface import DiscreteSurface, sample_cells
 from .mesh import ActiveMesh
+from .shapes import tri_nodes
 
 __all__ = ["write_unstructured_grid", "export_active_mesh", "export_surface"]
 
 _VTK_TET = 10
 _VTK_TRIANGLE = 5
 _VTK_QUADRATIC_TRIANGLE = 22
-
-# reference barycentric coords of the surface-cell nodes
-_TRI_NODES_P1 = np.eye(3)
-_TRI_NODES_P2 = np.vstack(
-    [np.eye(3), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]]
-)
 
 
 def write_unstructured_grid(path, points, cells, cell_type, point_data=None):
@@ -92,5 +87,4 @@ def export_surface(path, ds: DiscreteSurface, point_data=None):
 
 def surface_node_points(ds: DiscreteSurface):
     """Cell-node coordinates (nc, m, 3) and oriented normals (nc, m, 3)."""
-    bary = _TRI_NODES_P1 if ds.k_g == 1 else _TRI_NODES_P2
-    return sample_cells(ds, bary)
+    return sample_cells(ds, tri_nodes(ds.k_g))

@@ -18,7 +18,13 @@ from surfdarcy.assembly import (
 from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space
 from surfdarcy.geometry import ImplicitSurface, Torus
-from surfdarcy.mesh import ActiveMesh, build_background, extract_active, refine_uniform
+from surfdarcy.mesh import (
+    DEFAULT_BOX,
+    ActiveMesh,
+    build_background,
+    extract_active,
+    refine_uniform,
+)
 from surfdarcy.quadrature import tet_rule
 from surfdarcy.verification import ManufacturedSolution, case_config
 
@@ -79,7 +85,7 @@ def _single_tet_setup():
     counts = positive[mesh.tets].sum(axis=1)
     cut = np.flatnonzero((counts > 0) & (counts < 4))
     active = ActiveMesh(parent=mesh, active_tets=cut[:1])
-    ds = build_surface(active, surface, k_g=1, quad_degree=4)
+    ds = build_surface(active, surface, k_g=1)
     assert ds.n_cells >= 1
     return active, surface, ds
 
@@ -90,7 +96,7 @@ def _two_tet_setup():
     surface = SphereSurface((1.0, 0.0, 0.0), 0.3)
     active = extract_active(mesh, surface.signed_distance(mesh.vertices))
     assert len(active) == 2
-    ds = build_surface(active, surface, k_g=1, quad_degree=4)
+    ds = build_surface(active, surface, k_g=1)
     return active, surface, ds
 
 
@@ -136,7 +142,7 @@ def torus_level1():
     torus = Torus()
     mesh = refine_uniform(build_background())
     active = extract_active(mesh, torus.signed_distance(mesh.vertices))
-    ds = build_surface(active, torus, k_g=1, quad_degree=4)
+    ds = build_surface(active, torus, k_g=1)
     return torus, active, ds
 
 
@@ -352,7 +358,7 @@ def test_quadratic_geometry_normal_stabilization_matches_oracle(order):
     # tet, so the integrand is not polynomial: the oracle evaluates it
     # directly at the library's own quadrature points
     active, surface, _ = _two_tet_setup()
-    ds = build_surface(active, surface, k_g=2, quad_degree=4)
+    ds = build_surface(active, surface, k_g=2)
     space = build_space(active, order)
     tau, alpha = 0.2, 1.5
     stab = assemble_stabilization(space, ds, Stabilization.NORMAL_GRADIENT, tau, alpha)
@@ -375,10 +381,10 @@ def test_assemble_evaluates_no_signed_distance(monkeypatch):
     # phi_h is interpolated once, by build_surface; the normal-gradient
     # stabilization of both spaces reads it from the discrete surface
     config = case_config(6)
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     exact = ManufacturedSolution()
     active = extract_active(mesh, exact.surface.signed_distance(mesh.vertices))
-    ds = build_surface(active, exact.surface, config.k_g, config.quad_degree)
+    ds = build_surface(active, exact.surface, config.k_g)
     spaces = (build_space(active, config.k_u), build_space(active, config.k_p))
     points = []
     signed_distance = ImplicitSurface.signed_distance

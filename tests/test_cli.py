@@ -2,8 +2,10 @@ import logging
 import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import surfdarcy.cli as cli_mod
@@ -11,6 +13,8 @@ import surfdarcy.solver as solver_mod
 import surfdarcy.suites as suites_mod
 import surfdarcy.vtk_io as vtk_io_mod
 from surfdarcy.cli import main
+from surfdarcy.mesh import DEFAULT_BOX, build_background
+from surfdarcy.verification import ManufacturedSolution, case_config, run_level
 
 
 # case 1's CSV at levels 0-1 on the default grid, with the torus at the
@@ -69,7 +73,7 @@ def test_invalid_tau_is_config_error(capsys):
         ["--tau", "inf"],
         ["--offset=nan,0,0"],
         ["--offset=0,-inf,0"],
-        ["--box=-2,inf"],
+        ["--tau=-inf"],
     ],
 )
 def test_non_finite_value_is_config_error(extra, capsys, splu_calls):
@@ -123,6 +127,30 @@ def test_export_pressure_range(tmp_path):
     n_pts = int(lines[4].split()[1])
     values = np.array([float(v) for v in lines[start + 2 : start + 2 + n_pts]])
     assert values.min() > -0.6 and values.max() < 0.6
+
+
+def test_export_quadratic_surface(tmp_path):
+    """The k_g = 2 surface is written as 6-node quadratic triangles, with the
+    nodes of run_level's surface in their stored order."""
+    out = tmp_path / "vtk"
+    assert main(["export", "--case", "6", "--level", "0", "--vtk-dir", str(out)]) == 0
+    lines = (out / "surface_case6_level0.vtk").read_text().splitlines()
+    config = case_config(6)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
+    ds = run_level(config, mesh, ManufacturedSolution())["ds"]
+    nodes = ds.nodes.reshape(-1, 3)
+    assert lines[4] == f"POINTS {len(nodes)} double"
+    assert lines[5 : 5 + len(nodes)] == ["%.12g %.12g %.12g" % tuple(x) for x in nodes]
+
+    at = lines.index(f"CELLS {ds.n_cells} {7 * ds.n_cells}")
+    cells = [line.split() for line in lines[at + 1 : at + 1 + ds.n_cells]]
+    assert all(cell[0] == "6" and len(cell) == 7 for cell in cells)
+    at = lines.index(f"CELL_TYPES {ds.n_cells}")
+    assert lines[at + 1 : at + 1 + ds.n_cells] == ["22"] * ds.n_cells
+
+    at = lines.index("VECTORS normal double")
+    normals = np.array([line.split() for line in lines[at + 1 : at + 1 + len(nodes)]], float)
+    npt.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-11)
 
 
 def test_check_command_deterministic_output(tmp_path, capsys):
@@ -194,7 +222,7 @@ def test_export_level_not_negative(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--offset=0.2,0,0"], ["--offset=0,-0.16,0"], ["--box=-1,1"]]
+    "extra", [["--offset=0.2,0,0"], ["--offset=0,-0.16,0"], ["--offset=0,0,1.2"]]
 )
 def test_offset_outside_box_is_config_error(extra, capsys):
     assert main(["converge", "--case", "1", "--levels", "1", *extra]) == 1
@@ -206,9 +234,10 @@ def test_offset_outside_box_is_config_error(extra, capsys):
     [
         ["converge", "--case", "1", "--levels", "1", "--ncells0", "0"],
         ["check", "--levels", "2", "--translations", "0"],
+        ["check", "--levels", "2", "--seed", "-1"],
         ["export", "--case", "1", "--level", "5", "--vtk-dir", "unused"],
     ],
-    ids=["ncells0", "translations", "export-level"],
+    ids=["ncells0", "translations", "seed", "export-level"],
 )
 def test_out_of_range_count_is_config_error(argv, tmp_path, monkeypatch, capsys, splu_calls):
     monkeypatch.chdir(tmp_path)
@@ -223,7 +252,8 @@ def test_out_of_range_count_is_config_error(argv, tmp_path, monkeypatch, capsys,
 def test_quadrature_degree_without_a_triangle_rule_is_config_error(
     flag, degree, monkeypatch, capsys
 ):
-    # rejected before any work: no study is started
+    # the triangle rules' degrees are fixed in the program, so no degree that
+    # is asked for is taken; rejected before any work: no study is started
     started = []
     monkeypatch.setattr(cli_mod, "run_case", lambda *a, **kw: started.append(1))
     argv = ["converge", "--case", "1", "--levels", "1", "--ncells0", "8", f"{flag}={degree}"]
@@ -237,11 +267,16 @@ def test_quadrature_degree_without_a_triangle_rule_is_config_error(
     [
         ("converge", "seed"),
         ("export", "seed"),
-        # the suites of `check` fix their own grid and quadrature rules
+        # the suites of `check` fix their own grid
         ("check", "ncells0"),
-        ("check", "box"),
-        ("check", "quad-degree"),
-        ("check", "quad-degree-err"),
+        # the background box and the triangle rules are fixed in the program
+        # (mesh.DEFAULT_BOX, cut_surface.QUAD_DEGREE and
+        # verification.ERROR_QUAD_DEGREE): no command takes them
+        *(
+            (command, flag)
+            for command in ("converge", "export", "check")
+            for flag in ("box", "quad-degree", "quad-degree-err")
+        ),
     ],
 )
 def test_flag_the_command_does_not_read_is_config_error(
@@ -261,6 +296,49 @@ def test_flag_the_command_does_not_read_is_config_error(
     assert "configuration error" in capsys.readouterr().err
     assert not splu_calls
     assert not (tmp_path / "vtk").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--case", "1", "--levels", "1", "--csv", "{missing}/x.csv"],
+        ["converge", "--case", "1", "--levels", "1", "--csv", "{dir}"],
+        ["converge", "--case", "1", "--levels", "1", "--markdown", "{file}/x.md"],
+        ["converge", "--case", "1", "--levels", "1", "--vtk-dir", "{file}"],
+        ["converge", "--case", "1", "--levels", "1", "--vtk-dir", "{file}/vtk"],
+        ["export", "--case", "1", "--level", "0", "--vtk-dir", "{file}"],
+    ],
+    ids=[
+        "csv-in-missing-dir",
+        "csv-is-dir",
+        "markdown-in-file",
+        "vtk-dir-is-file",
+        "vtk-dir-below-file",
+        "export",
+    ],
+)
+def test_unusable_output_path_is_config_error(argv, tmp_path, capsys, splu_calls):
+    # rejected before any work, not with a traceback after the study
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file", "dir": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not splu_calls
+    assert not paths["missing"].exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--vtk-dir"])
+def test_output_that_cannot_be_written_is_config_error(flag, tmp_path, monkeypatch, capsys):
+    # the path passes the checks made before the study, and the disk is full
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    monkeypatch.setattr(vtk_io_mod, "write_unstructured_grid", full)
+    target = tmp_path / ("x.csv" if flag == "--csv" else "vtk")
+    argv = ["converge", "--case", "1", "--levels", "1", "--ncells0", "8", flag, str(target)]
+    assert main(argv) == 1
+    assert "configuration error: [Errno 28] No space left on device" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ncells0", ["1", "2"])

@@ -207,7 +207,7 @@ class TestTetInterpolant:
         # phi_h on every active tet: the distance at the tet's nodes, and
         # zero at the surface nodes of its cells
         for k_g in (1, 2):
-            ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+            ds = build_surface(active_l1, torus, k_g=k_g)
             assert ds.phi.order == k_g
             npt.assert_array_equal(ds.phi.verts, active_l1.tet_vertices)
             for t in range(0, len(active_l1), 97):
@@ -237,7 +237,7 @@ class TestPlanarSurface:
 
         plane = Plane()
         active = extract_active(mesh, plane.signed_distance(mesh.vertices))
-        ds = build_surface(active, plane, k_g=1, quad_degree=4)
+        ds = build_surface(active, plane, k_g=1)
         assert ds.total_area == pytest.approx(1.0, abs=1e-12)
         npt.assert_allclose(ds.normals, [[0.0, 0.0, 1.0]] * len(ds.normals), atol=1e-12)
 
@@ -246,21 +246,21 @@ class TestTorusSurface:
     def test_area_converges(self, torus):
         rel_errors = []
         for level in (1, 2):
-            ds = build_surface(_active(torus, level), torus, k_g=1, quad_degree=4)
+            ds = build_surface(_active(torus, level), torus, k_g=1)
             rel_errors.append(abs(ds.total_area - TORUS_AREA) / TORUS_AREA)
         assert rel_errors[1] < 0.02
         # second-order area convergence
         assert rel_errors[0] / rel_errors[1] > 3.0
 
     def test_quad_points_in_parent_tet(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         verts = active_l1.tet_vertices[ds.point_active]
         lam = barycentric_coords(verts, ds.points)
         tol = 1e-10 * active_l1.h
         assert lam.min() > -tol and lam.max() < 1 + tol
 
     def test_weights_positive_sum_to_area(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         assert np.all(ds.weights > 0)
         for nodes, weights in zip(ds.nodes[:50], ds.qp_weights[:50]):
             tri_area = 0.5 * np.linalg.norm(
@@ -270,32 +270,25 @@ class TestTorusSurface:
 
     def test_normals_unit_and_oriented(self, torus, active_l1):
         for k_g in (1, 2):
-            ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+            ds = build_surface(active_l1, torus, k_g=k_g)
             npt.assert_allclose(np.linalg.norm(ds.normals, axis=1), 1.0, atol=1e-12)
             exact = torus.surface_normal(ds.points)
             assert np.all(np.einsum("nx,nx->n", exact, ds.normals) > 0)
 
     def test_closedness(self, torus, active_l1):
         for k_g in (1, 2):
-            ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+            ds = build_surface(active_l1, torus, k_g=k_g)
             defect = ds.closedness_defect()
             assert defect < 10 * active_l1.h ** (k_g + 1) * ds.total_area
 
     def test_quadratic_nodes_on_interpolant_zero_set(self, torus, active_l1):
         # nodes lie on the zero set of the per-tet quadratic interpolant
-        ds = build_surface(active_l1, torus, k_g=2, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=2)
         lam = ds.node_lambdas
         from surfdarcy import shapes
 
-        verts = active_l1.tet_vertices[ds.cell_active]
-        mids = shapes.tet_edge_midpoints(verts)
-        nodal = np.concatenate(
-            [
-                torus.signed_distance(verts.reshape(-1, 3)).reshape(-1, 4),
-                torus.signed_distance(mids.reshape(-1, 3)).reshape(-1, 6),
-            ],
-            axis=1,
-        )
+        nodes = np.array([tet_nodes(v, 2) for v in active_l1.tet_vertices[ds.cell_active]])
+        nodal = torus.signed_distance(nodes.reshape(-1, 3)).reshape(-1, 10)
         basis = shapes.tet_values(2, lam)  # (nc, 6, 10)
         residual = np.einsum("cnk,ck->cn", basis, nodal)
         assert np.abs(residual).max() < 1e-11
@@ -308,7 +301,7 @@ class TestTorusSurface:
         hs = []
         for level in (1, 2):
             active = _active(torus, level)
-            ds = build_surface(active, torus, k_g=2, quad_degree=4)
+            ds = build_surface(active, torus, k_g=2)
             verts = active.tet_vertices[ds.point_active]
             lam = barycentric_coords(verts, ds.points)
             mins.append(lam.min())
@@ -321,7 +314,7 @@ class TestTorusSurface:
             hs, dist, nerr = [], [], []
             for level in (1, 2, 3):
                 active = _active(torus, level)
-                ds = build_surface(active, torus, k_g=k_g, quad_degree=4)
+                ds = build_surface(active, torus, k_g=k_g)
                 hs.append(active.h)
                 dist.append(ds.max_distance())
                 nerr.append(ds.max_normal_error())
@@ -331,7 +324,7 @@ class TestTorusSurface:
             assert abs(order_n - k_g) <= 0.3
 
     def test_pullback_orientation(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         # closest points of one cell's quad points are pairwise distinct
         for quad_points in ds.qp_points[:20]:
             proj = torus.closest_point(quad_points)
@@ -341,15 +334,15 @@ class TestTorusSurface:
 
 class TestSurfaceMean:
     def test_constant(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         assert surface_mean(ds, np.ones(len(ds.weights))) == pytest.approx(1.0)
 
     def test_odd_symmetry(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         assert abs(surface_mean(ds, ds.points[:, 2])) < 1e-3
 
     def test_linearity(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(len(ds.weights))
         lhs = surface_mean(ds, 3.0 * v + 2.0)
@@ -359,7 +352,7 @@ class TestSurfaceMean:
 
 class TestRequadrature:
     def test_same_cells_higher_degree(self, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=1, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=1)
         ds6 = with_quadrature(ds, 6)
         assert ds6.qp_points.shape[1] == 12
         assert ds6.total_area == pytest.approx(ds.total_area, rel=1e-12)
@@ -367,7 +360,7 @@ class TestRequadrature:
 
     @pytest.mark.parametrize("k_g", [1, 2])
     def test_barycentrics_map_to_points(self, k_g, torus, active_l1):
-        ds = build_surface(active_l1, torus, k_g=k_g, quad_degree=4)
+        ds = build_surface(active_l1, torus, k_g=k_g)
         for surf in (ds, with_quadrature(ds, 6)):
             verts = active_l1.tet_vertices[surf.point_active]
             mapped = np.einsum("nl,nlx->nx", surf.lambdas, verts)
@@ -375,8 +368,8 @@ class TestRequadrature:
 
 
 def test_determinism(torus, active_l1):
-    a = build_surface(active_l1, torus, k_g=2, quad_degree=4)
-    b = build_surface(active_l1, torus, k_g=2, quad_degree=4)
+    a = build_surface(active_l1, torus, k_g=2)
+    b = build_surface(active_l1, torus, k_g=2)
     npt.assert_array_equal(a.qp_points, b.qp_points)
     npt.assert_array_equal(a.qp_weights, b.qp_weights)
     npt.assert_array_equal(a.cell_active, b.cell_active)
@@ -392,7 +385,7 @@ def test_quadrature_maps_match_per_cell_loop(torus, k_g):
     to round-off over the cell's size (3e-13 on the smallest cells here, where
     the P2 tangents are sums of O(1) terms that cancel to O(cell size)).
     """
-    ds = build_surface(_active(torus, 0), torus, k_g=k_g, quad_degree=4)
+    ds = build_surface(_active(torus, 0), torus, k_g=k_g)
     for degree in (4, 6):
         bary, w = triangle_rule(degree)
         fields = _attach_quadrature(k_g, ds.nodes, ds.node_lambdas, ds.flips, bary, w)

@@ -188,7 +188,7 @@ class TestInterpolate:
             act = extract_active(mesh, torus.signed_distance(mesh.vertices))
             space = build_space(act, 1)
             coeffs = interpolate(space, lambda p: torus.extend_vector(exact.pressure, p))
-            ds = with_quadrature(build_surface(act, torus, 1, 4), 6)
+            ds = with_quadrature(build_surface(act, torus, 1), 6)
             vals = fe_space.evaluate(space, coeffs, ds.point_active, ds.lambdas)
             p_e = torus.extend_vector(exact.pressure, ds.points)
             err = np.sqrt(ds.weights @ (vals - p_e) ** 2)

@@ -12,15 +12,6 @@ ORDERS = [1, 2]
 EPS = 1e-6
 
 
-def nodes(n_vertices, edges, order):
-    """Barycentric coordinates of the nodes: the vertices, then for P2 the
-    midpoints of `edges` in their order."""
-    eye = np.eye(n_vertices)
-    if order == 1:
-        return eye
-    return np.concatenate([eye, [0.5 * (eye[a] + eye[b]) for a, b in edges]])
-
-
 @pytest.fixture
 def lam_grads():
     """The gradients of the barycentric coordinates (4, 3) of a random
@@ -41,7 +32,7 @@ class TestTet:
         npt.assert_allclose(values.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
 
     def test_kronecker_at_the_nodes(self, order):
-        at_nodes = shapes.tet_values(order, nodes(4, shapes.TET_EDGES, order))
+        at_nodes = shapes.tet_values(order, shapes.tet_nodes(order))
         npt.assert_allclose(at_nodes, np.eye(len(at_nodes)), rtol=0, atol=1e-15)
 
     def test_gradients_sum_to_zero(self, order, lam_grads):
@@ -79,7 +70,7 @@ class TestTriangle:
         npt.assert_allclose(values.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
 
     def test_kronecker_at_the_nodes(self, order):
-        at_nodes = shapes.tri_values(order, nodes(3, shapes.TRI_EDGES, order))
+        at_nodes = shapes.tri_values(order, shapes.tri_nodes(order))
         npt.assert_allclose(at_nodes, np.eye(len(at_nodes)), rtol=0, atol=1e-15)
 
     def test_dvalues_match_central_differences(self, order):

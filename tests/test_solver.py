@@ -10,7 +10,7 @@ from surfdarcy.assembly import AssembledSystem, Stabilization, assemble, stabili
 from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
-from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.mesh import DEFAULT_BOX, build_background, extract_active, refine_uniform
 from surfdarcy.solver import Factorization, estimate_condition, solve
 from surfdarcy.verification import ManufacturedSolution, case_config, run_level
 
@@ -20,7 +20,7 @@ def level1_system():
     torus = Torus()
     mesh = refine_uniform(build_background())
     active = extract_active(mesh, torus.signed_distance(mesh.vertices))
-    ds = build_surface(active, torus, k_g=1, quad_degree=4)
+    ds = build_surface(active, torus, k_g=1)
     spaces = (build_space(active, 1), build_space(active, 1))
     exact = ManufacturedSolution()
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
@@ -31,7 +31,7 @@ def level1_system():
 @pytest.fixture(scope="module", params=[1, 6], ids=["case1", "case6"])
 def level0_system(request):
     config = case_config(request.param)
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     return run_level(config, mesh, ManufacturedSolution())["system"]
 
 
@@ -95,7 +95,7 @@ class TestSolve:
         """A solve neither stacks the bordered matrix nor copies the
         couplings: the preconditioner multiplies by the system's own blocks."""
         config = case_config(case, n_cells0=8)
-        mesh = build_background(config.box, config.n_cells0)
+        mesh = build_background(DEFAULT_BOX, config.n_cells0)
         system = run_level(config, mesh, ManufacturedSolution())["system"]
         solve(system)
         assert "matrix" not in vars(system)
@@ -130,7 +130,7 @@ class TestSolve:
         # a cycle through a solver object would keep its factors alive until
         # the cyclic collector runs, past the solve that needed them
         config = case_config(6, n_cells0=8)
-        mesh = build_background(config.box, config.n_cells0)
+        mesh = build_background(DEFAULT_BOX, config.n_cells0)
         system = run_level(config, mesh, ManufacturedSolution())["system"]
         gc.collect()
         gc.disable()
@@ -183,7 +183,7 @@ class TestEstimateCondition:
     def test_matches_dense_condition_number(self):
         # a level-0 case-1 system on an 8-cell grid: 1,133 unknowns
         config = case_config(1, n_cells0=8)
-        mesh = build_background(config.box, config.n_cells0)
+        mesh = build_background(DEFAULT_BOX, config.n_cells0)
         system = run_level(config, mesh, ManufacturedSolution())["system"]
         assert system.layout.total == 1133
         kappa = np.linalg.cond(system.matrix.toarray())

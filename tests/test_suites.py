@@ -49,7 +49,7 @@ def test_geometric_rate_suite_small(extract_calls):
 
 
 def test_lemma_ratio_suite_small(extract_calls):
-    result = lemma_ratio_suite(levels=(1, 2), n_samples=10, seed=0)
+    result = lemma_ratio_suite(levels=(1, 2), seed=0)
     assert result.passed, "\n".join(result.lines)
     assert len(extract_calls) == 2, "one active mesh per level, for both stabilizations"
 

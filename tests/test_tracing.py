@@ -32,10 +32,10 @@ def test_traced_rounds_count_and_attribute_their_time(monkeypatch):
     from tracing import Tracer
 
     from surfdarcy import suites, verification
-    from surfdarcy.mesh import build_background
+    from surfdarcy.mesh import DEFAULT_BOX, build_background
 
     config = verification.case_config(6)
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     tracer = Tracer()
     tracer.install()
     try:

@@ -8,11 +8,12 @@ from surfdarcy import fe_space
 from surfdarcy.assembly import Stabilization
 from surfdarcy.cut_surface import CHUNK_CELLS, build_surface, with_quadrature
 from surfdarcy.geometry import ImplicitSurface, Torus, fd_gradient
-from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.mesh import DEFAULT_BOX, build_background, extract_active, refine_uniform
 from surfdarcy.quadrature import triangle_rule
 from surfdarcy.solver import Solution
 from surfdarcy.verification import (
     CASE_TABLE,
+    ERROR_QUAD_DEGREE,
     CaseConfig,
     ManufacturedSolution,
     case_config,
@@ -102,8 +103,7 @@ class TestManufacturedSolution:
 
 class TestComputeErrors:
     def test_zero_solution_gives_exact_norms(self, exact, level1):
-        degree = case_config(1).quad_degree_err
-        ds_err = with_quadrature(level1["ds"], degree)
+        ds_err = with_quadrature(level1["ds"], ERROR_QUAD_DEGREE)
         vspace, pspace = level1["spaces"]
         zero = Solution(
             u_coeffs=np.zeros((3, vspace.global_dofs)),
@@ -111,7 +111,7 @@ class TestComputeErrors:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        errors, tangency = compute_errors(zero, (vspace, pspace), level1["ds"], exact, degree)
+        errors, tangency = compute_errors(zero, (vspace, pspace), level1["ds"], exact)
         assert tangency == 0.0
         # ||z||^2 over the torus: 2 pi^2 R r^3, so ||z|| ~ sqrt(area r^2 / 2);
         # the discrete surface carries an O(h^2) geometric error at level 1
@@ -133,13 +133,13 @@ class TestComputeErrors:
             out_cfg = case_config(1)
             torus = exact.surface
             active = extract_active(mesh, torus.signed_distance(mesh.vertices))
-            ds = build_surface(active, torus, 1, 4)
+            ds = build_surface(active, torus, 1)
             vspace = fe_space.build_space(active, 1)
             pspace = fe_space.build_space(active, 1)
             u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
             p_coeffs = interpolate(pspace, lambda p: torus.extend_vector(exact.pressure, p))
             sol = Solution(u_coeffs, p_coeffs, 0.0, 0.0)
-            errors, _ = compute_errors(sol, (vspace, pspace), ds, exact, 6)
+            errors, _ = compute_errors(sol, (vspace, pspace), ds, exact)
             errs.append(errors.u_l2)
             hs.append(mesh.h)
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -197,9 +197,9 @@ def test_solution_values_allocates_no_basis_table():
     # 240 bytes per point; the values, pressure and gradient returned take 56
     offset = (0.031, -0.052, 0.017)
     config = case_config(6, n_cells0=12, offset=offset)
-    mesh = build_background(config.box, config.n_cells0)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
     out = run_level(config, mesh, ManufacturedSolution(offset=offset))
-    ds_err = with_quadrature(out["ds"], config.quad_degree_err)
+    ds_err = with_quadrature(out["ds"], ERROR_QUAD_DEGREE)
     tracemalloc.start()
     try:
         solution_values(out["solution"], out["spaces"], ds_err)
@@ -223,7 +223,7 @@ def test_run_level_projects_each_point_set_once(monkeypatch):
         lambda self, x: projected.append(len(x)) or closest_point(self, x),
     )
     out = run_level(config, build_background(), ManufacturedSolution(offset=offset))
-    ds_err = with_quadrature(out["ds"], config.quad_degree_err)
+    ds_err = with_quadrature(out["ds"], ERROR_QUAD_DEGREE)
     assert sum(projected) == len(out["ds"].points) + len(ds_err.points)
 
 
@@ -234,11 +234,11 @@ def test_error_stage_holds_few_bytes_per_error_point(exact, level1):
     # quadrature and fields were held at once
     config = case_config(1)
     ds = level1["ds"]
-    n_points = ds.n_cells * len(triangle_rule(config.quad_degree_err)[1])
+    n_points = ds.n_cells * len(triangle_rule(ERROR_QUAD_DEGREE)[1])
     assert ds.n_cells > 4 * CHUNK_CELLS
     tracemalloc.start()
     try:
-        compute_errors(level1["solution"], level1["spaces"], ds, exact, config.quad_degree_err)
+        compute_errors(level1["solution"], level1["spaces"], ds, exact)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -274,7 +274,7 @@ class TestTangency:
             multiplier=0.0,
             residual_norm=0.0,
         )
-        ds_err = with_quadrature(level1["ds"], case_config(1).quad_degree_err)
+        ds_err = with_quadrature(level1["ds"], ERROR_QUAD_DEGREE)
         u_h = solution_values(zero, (vspace, pspace), ds_err)[0]
         assert tangency_defect(u_h, ds_err) == 0.0
 
@@ -286,7 +286,7 @@ class TestTangency:
                 mesh = refine_uniform(mesh)
             torus = exact.surface
             active = extract_active(mesh, torus.signed_distance(mesh.vertices))
-            ds = with_quadrature(build_surface(active, torus, 1, 4), 6)
+            ds = with_quadrature(build_surface(active, torus, 1), 6)
             vspace = fe_space.build_space(active, 1)
             u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
             u_h = fe_space.evaluate(vspace, u_coeffs, ds.point_active, ds.lambdas)
