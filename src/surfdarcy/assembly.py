@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fe_space, shapes
-from .cut_surface import DiscreteSurface, TetInterpolant, chunks
+from .cut_surface import DiscreteSurface, chunks
 from .fe_space import FESpace
 from .mesh import ActiveMesh
 from .quadrature import tet_rule
@@ -263,7 +263,7 @@ def assemble_stabilization(
         if kind == Stabilization.FULL_GRADIENT:
             data = _grad_gram(weights, grads)
         else:
-            normals = _bulk_normals(ds, tets, bary)
+            normals = ds.phi.restrict(tets).normal_at(bary, ds.surface.surface_normal)
             ndot = (grads @ normals[..., None])[..., 0]  # (t, m, nb)
             data = _gram(weights, ndot, ndot)
         data *= scale
@@ -273,14 +273,6 @@ def assemble_stabilization(
     dofs = _cell_dofs(space, slice(None))
     n = space.global_dofs
     return _scatter(data, dofs, dofs, (n, n))
-
-
-def _bulk_normals(ds: DiscreteSurface, tets, bary):
-    """Normal field of the surface's phi_h at the bulk quadrature points of
-    the active tets `tets`, a slice: (t, m, 3) unit vectors."""
-    phi = TetInterpolant(ds.phi.verts[tets, None], ds.phi.order, ds.phi.values[tets, None])
-    phi.lam_grads = ds.active.lam_grads[tets, None]
-    return phi.normal_at(bary, ds.surface.surface_normal)
 
 
 def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:

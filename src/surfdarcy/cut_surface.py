@@ -3,11 +3,13 @@ level set, optional quadratic lifting for second-order geometry, and
 quadrature-ready surface cells with oriented normals.
 
 The discrete level set phi_h is the degree-k_g nodal interpolant of the exact
-signed distance on every active tet (`TetInterpolant`).  The first-order
-surface is the zero set of its vertex values' linear interpolant, one or two
-planar triangles per cut tet.  The second-order surface lifts the 3 vertices
-and 3 edge midpoints of every base triangle onto the zero set of the
-quadratic phi_h, along the per-tet quasi-normal grad(phi_h)/|grad(phi_h)|.
+signed distance on every active tet (`TetInterpolant`), with the active
+mesh's barycentric gradients.  The first-order surface is the zero set of its
+vertex values' linear interpolant, one or two planar triangles per cut tet,
+each oriented to point up the gradient of that linear interpolant.  The
+second-order surface lifts the 3 vertices and 3 edge midpoints of every base
+triangle onto the zero set of the quadratic phi_h, along the per-tet
+quasi-normal grad(phi_h)/|grad(phi_h)|.
 The lift is not constrained to the tet entity a node lies on: a curved node
 may leave its parent tet by O(h^2), and the copies of a base vertex shared by
 neighboring tets are lifted by different interpolants, so they do not
@@ -65,18 +67,22 @@ class CutSurfaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscreteSurface:
-    k_g: int
     surface: ImplicitSurface
     active: ActiveMesh
     phi: TetInterpolant  # phi_h of order k_g, a (n_active,) batch of active tets
     cell_active: np.ndarray  # (nc,) position of the parent tet in the active mesh
     nodes: np.ndarray  # (nc, 3 or 6, 3)
     node_lambdas: np.ndarray  # (nc, 3 or 6, 4) barycentric w.r.t. parent tet
-    flips: np.ndarray  # (nc,) bool, orientation of the reference normal
+    flips: np.ndarray  # (nc,) bool, the raw cell normal points down grad(phi_h)
     qp_points: np.ndarray  # (nc, m, 3)
     qp_lambdas: np.ndarray  # (nc, m, 4) barycentric w.r.t. parent tet
     qp_weights: np.ndarray  # (nc, m)
     qp_normals: np.ndarray  # (nc, m, 3)
+
+    @property
+    def k_g(self):
+        """The geometry order, that of phi_h."""
+        return self.phi.order
 
     @property
     def n_cells(self):
@@ -164,7 +170,7 @@ class TetInterpolant:
     a (t, 1) batch evaluated at (m, 4) or (t, m, 4) coordinates gives (t, m).
     The gradients of the barycentric coordinates, `lam_grads` (..., 4, 3),
     are computed on first use; an interpolant on active-mesh tets takes the
-    mesh's own.
+    mesh's own, and `restrict` shares them.
     """
 
     def __init__(self, tet_vertices, order: int, values):
@@ -180,6 +186,13 @@ class TetInterpolant:
     @cached_property
     def lam_grads(self):
         return shapes.barycentric_gradients(self.verts)
+
+    def restrict(self, tets):
+        """The interpolant on the tets `tets` (indices or a slice) of this
+        (n,) batch, as a (k, 1) batch sharing their barycentric gradients."""
+        part = TetInterpolant(self.verts[tets, None], self.order, self.values[tets, None])
+        part.lam_grads = self.lam_grads[tets, None]
+        return part
 
     @classmethod
     def of_field(cls, tet_vertices, order, field):
@@ -240,15 +253,14 @@ def _edge_root_lambda(phi, i_idx, j_idx):
 def _march_batch(tet_verts, phi):
     """Marching tetrahedra over a batch.
 
-    tet_verts: (n, 4, 3), phi: (n, 4) finite.  Returns (cell_tet, cell_lam,
-    cell_flip) with cells ordered by (tet, local cell index); cell_lam has
-    shape (nc, 3, 4).  A vertex value of exactly 0 counts as positive.
+    tet_verts: (n, 4, 3), phi: (n, 4) finite.  Returns (cell_tet, cell_lam)
+    with cells ordered by (tet, local cell index); cell_lam has shape
+    (nc, 3, 4).  A vertex value of exactly 0 counts as positive.
     """
     pos = phi >= 0.0
     npos = pos.sum(axis=1)
     out_tet = []
     out_lam = []
-    out_flip = []
     out_local = []
 
     lone_mask = (npos == 1) | (npos == 3)
@@ -261,15 +273,8 @@ def _march_batch(tet_verts, phi):
         lam = np.stack(
             [_edge_root_lambda(phis, lone, others[:, m]) for m in range(3)], axis=1
         )  # (k, 3, 4)
-        verts = tet_verts[idx]
-        x = lam @ verts
-        raw_n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
-        to_lone = verts[np.arange(len(idx)), lone] - x.mean(axis=1)
-        side = np.einsum("kx,kx->k", raw_n, to_lone)
-        flip = np.where(lone_is_pos, side < 0.0, side > 0.0)
         out_tet.append(idx)
         out_lam.append(lam)
-        out_flip.append(flip)
         out_local.append(np.zeros(len(idx), dtype=np.int64))
 
     quad_mask = npos == 2
@@ -294,30 +299,18 @@ def _march_batch(tet_verts, phi):
         first = d02 <= d13
         tri1 = np.where(first[:, None, None], q[:, (0, 1, 2)], q[:, (1, 2, 3)])
         tri2 = np.where(first[:, None, None], q[:, (0, 2, 3)], q[:, (1, 3, 0)])
-        outward = 0.5 * (
-            verts[np.arange(len(idx)), c] + verts[np.arange(len(idx)), d]
-        ) - 0.5 * (verts[np.arange(len(idx)), a] + verts[np.arange(len(idx)), b])
         for local, tri in enumerate((tri1, tri2)):
-            x = tri @ verts
-            raw_n = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
-            flip = np.einsum("kx,kx->k", raw_n, outward) < 0.0
             out_tet.append(idx)
             out_lam.append(tri)
-            out_flip.append(flip)
             out_local.append(np.full(len(idx), local, dtype=np.int64))
 
     if not out_tet:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, 3, 4)),
-            np.zeros(0, dtype=bool),
-        )
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 3, 4))
     cell_tet = np.concatenate(out_tet)
     cell_lam = np.concatenate(out_lam)
-    cell_flip = np.concatenate(out_flip)
     cell_local = np.concatenate(out_local)
     order = np.lexsort((cell_local, cell_tet))
-    return cell_tet[order], cell_lam[order], cell_flip[order]
+    return cell_tet[order], cell_lam[order]
 
 
 # ---------------------------------------------------------------------------
@@ -366,35 +359,34 @@ def build_surface(active: ActiveMesh, surface: ImplicitSurface, k_g: int = 1) ->
     if k_g not in (1, 2):
         raise ValueError("geometry order k_g must be 1 or 2")
     phi = TetInterpolant.of_field(active.tet_vertices, k_g, surface.signed_distance)
-    tet_verts = phi.verts  # (na, 4, 3)
-    cell_active, lam3, flips = _march_batch(tet_verts, phi.values[:, :4])
-    nodes3 = lam3 @ tet_verts[cell_active]
+    phi.lam_grads = active.lam_grads
+    cell_active, lam3 = _march_batch(phi.verts, phi.values[:, :4])
+    nodes3 = lam3 @ phi.verts[cell_active]
+    raw_n = np.cross(nodes3[:, 1] - nodes3[:, 0], nodes3[:, 2] - nodes3[:, 0])
 
-    area = 0.5 * np.linalg.norm(
-        np.cross(nodes3[:, 1] - nodes3[:, 0], nodes3[:, 2] - nodes3[:, 0]), axis=1
-    )
-    keep = area >= SLIVER_FACTOR * active.h**2
+    keep = 0.5 * np.linalg.norm(raw_n, axis=1) >= SLIVER_FACTOR * active.h**2
     if not np.all(keep):
         log.info("dropped %d degenerate surface cells", int((~keep).sum()))
-        cell_active, lam3, flips, nodes3 = (
+        cell_active, lam3, nodes3, raw_n = (
             cell_active[keep],
             lam3[keep],
-            flips[keep],
             nodes3[keep],
+            raw_n[keep],
         )
+    # orient each cell towards phi_h >= 0: up the gradient of the linear
+    # phi_h of its tet
+    grad = (phi.values[cell_active, None, :4] @ active.lam_grads[cell_active])[:, 0]
+    flips = np.einsum("kx,kx->k", raw_n, grad) < 0.0
 
     if k_g == 1:
         node_lam = lam3
         nodes = nodes3
     else:
-        cell_phi = TetInterpolant(
-            tet_verts[cell_active, None], 2, phi.values[cell_active, None]
+        node_lam, nodes = _lift_cells(
+            phi.restrict(cell_active), lam3, active.h, surface.surface_normal
         )
-        cell_phi.lam_grads = active.lam_grads[cell_active, None]
-        node_lam, nodes = _lift_cells(cell_phi, lam3, active.h, surface.surface_normal)
 
     return DiscreteSurface(
-        k_g=k_g,
         surface=surface,
         active=active,
         phi=phi,

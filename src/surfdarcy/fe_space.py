@@ -1,9 +1,10 @@
 """Continuous Lagrange spaces (P1, P2) on the active mesh.
 
 Degrees of freedom sit at vertices (P1) plus edge midpoints (P2) of active
-tets only; global numbering is vertices in lexicographic grid order followed
-by edges ordered by their sorted endpoint pair, so rebuilding from identical
-inputs yields identical DOF maps.
+tets only.  The active mesh holds its own vertices, in lexicographic grid
+order: they are the P1 DOFs in that order, followed for P2 by the edges
+ordered by their sorted endpoint pair, so rebuilding from identical inputs
+yields identical DOF maps.
 
 Basis functions are tabulated at points given by their active tet and their
 barycentric coordinates in it, which the discrete surface already holds for
@@ -43,23 +44,17 @@ class FESpace:
 def build_space(active: ActiveMesh, order: int) -> FESpace:
     if order not in (1, 2):
         raise FESpaceError("polynomial order must be 1 or 2")
-    tets = active.tets  # (na, 4) global vertex ids
-    verts_used = np.unique(tets)
-    vert_dof = np.full(len(active.parent.vertices), -1, dtype=np.int64)
-    vert_dof[verts_used] = np.arange(len(verts_used))
-    cell_dofs = vert_dof[tets]
-
-    ndof = len(verts_used)
+    cell_dofs = active.tets
+    ndof = len(active.vertices)
     if order == 2:
         # an edge's key a * n_vertices + b of its sorted endpoints a < b sorts
         # the edges by their endpoint pair
-        n_vertices = len(active.parent.vertices)
-        ends = tets.astype(np.int64)
+        ends = active.tets
         first = ends[:, [a for a, _ in shapes.TET_EDGES]]
         second = ends[:, [b for _, b in shapes.TET_EDGES]]
-        keys = np.minimum(first, second) * n_vertices + np.maximum(first, second)
+        keys = np.minimum(first, second) * ndof + np.maximum(first, second)
         edges, inverse = np.unique(keys, return_inverse=True)
-        cell_dofs = np.concatenate([cell_dofs, ndof + inverse.reshape(len(tets), 6)], axis=1)
+        cell_dofs = np.concatenate([cell_dofs, ndof + inverse.reshape(len(ends), 6)], axis=1)
         ndof += len(edges)
     return FESpace(
         active_mesh=active,

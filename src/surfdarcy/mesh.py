@@ -5,7 +5,10 @@ tetrahedra around the cube's main diagonal (Kuhn split), which is
 translation-invariant and therefore conforming across cube faces and stable
 under uniform refinement.  The active mesh keeps exactly the tetrahedra on
 which the vertex-interpolated level set changes sign, so the extracted
-discrete surface is covered by active cells by construction.
+discrete surface is covered by active cells by construction.  It holds its
+own copy of the vertices those tets use, numbered in the background mesh's
+order, and its tets index them; nothing built on it reads the background
+mesh.
 """
 
 from __future__ import annotations
@@ -80,21 +83,27 @@ class BackgroundMesh:
 
 @dataclass(frozen=True)
 class ActiveMesh:
-    parent: BackgroundMesh
-    active_tets: np.ndarray  # sorted tet indices into parent.tets
+    h: float
+    active_tets: np.ndarray  # sorted tet ids in the background mesh
+    vertices: np.ndarray  # (nv, 3) the vertices they use, by increasing background id
+    tets: np.ndarray  # (n_active, 4) indices into vertices
 
-    @property
-    def h(self):
-        return self.parent.h
-
-    @property
-    def tets(self):
-        return self.parent.tets[self.active_tets]
+    @classmethod
+    def of(cls, mesh: BackgroundMesh, ids) -> ActiveMesh:
+        """The tets `ids` (sorted) of `mesh`, with their vertices numbered
+        in the background mesh's order."""
+        used, local = np.unique(mesh.tets[ids], return_inverse=True)
+        return cls(
+            h=mesh.h,
+            active_tets=ids,
+            vertices=mesh.vertices[used],
+            tets=local.reshape(len(ids), 4),
+        )
 
     @property
     def tet_vertices(self):
         """(n_active, 4, 3) coordinates of the active tets."""
-        return self.parent.vertices[self.tets]
+        return self.vertices[self.tets]
 
     @cached_property
     def lam_grads(self):
@@ -173,4 +182,4 @@ def extract_active(mesh: BackgroundMesh, phi_values) -> ActiveMesh:
     active = np.flatnonzero((pos_count > 0) & (pos_count < 4)).astype(np.int64)
     if len(active) == 0 or len(active) == len(mesh.tets):
         raise MeshError("surface not resolved / not inside box")
-    return ActiveMesh(parent=mesh, active_tets=active)
+    return ActiveMesh.of(mesh, active)

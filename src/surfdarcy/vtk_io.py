@@ -60,12 +60,8 @@ def _block(values, fmt, prefix=""):
 
 
 def export_active_mesh(path, active: ActiveMesh):
-    """Active-mesh wireframe: the cut tets with compacted vertex numbering."""
-    tets = active.tets
-    used = np.unique(tets)
-    renumber = np.full(len(active.parent.vertices), -1, dtype=np.int64)
-    renumber[used] = np.arange(len(used))
-    write_unstructured_grid(path, active.parent.vertices[used], renumber[tets], _VTK_TET)
+    """Active-mesh wireframe: the cut tets on the active mesh's own vertices."""
+    write_unstructured_grid(path, active.vertices, active.tets, _VTK_TET)
 
 
 def export_surface(path, ds: DiscreteSurface, point_data=None):

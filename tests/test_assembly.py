@@ -84,7 +84,7 @@ def _single_tet_setup():
     positive = phi >= 0
     counts = positive[mesh.tets].sum(axis=1)
     cut = np.flatnonzero((counts > 0) & (counts < 4))
-    active = ActiveMesh(parent=mesh, active_tets=cut[:1])
+    active = ActiveMesh.of(mesh, cut[:1])
     ds = build_surface(active, surface, k_g=1)
     assert ds.n_cells >= 1
     return active, surface, ds

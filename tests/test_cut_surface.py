@@ -12,7 +12,7 @@ from surfdarcy.cut_surface import (
     with_quadrature,
 )
 from surfdarcy.geometry import Torus
-from surfdarcy.mesh import build_background, extract_active, refine_uniform
+from surfdarcy.mesh import ActiveMesh, build_background, extract_active, refine_uniform
 from surfdarcy.quadrature import triangle_rule
 
 from oracle import barycentric_coords, cell_quadrature, interpolant_gradient, lift, tet_nodes
@@ -40,16 +40,23 @@ def active_l1(torus):
 
 def _march_one(tet, phi):
     """Marching tetrahedra on a (1, 4, 3) batch: the cells' vertex
-    coordinates (nc, 3, 3) and their orientation flips."""
+    coordinates (nc, 3, 3)."""
     verts = np.asarray(tet, dtype=float).reshape(1, 4, 3)
-    cell_tet, lam, flips = _march_batch(verts, np.asarray(phi, dtype=float).reshape(1, 4))
+    cell_tet, lam = _march_batch(verts, np.asarray(phi, dtype=float).reshape(1, 4))
     assert np.all(cell_tet == 0)
-    return lam @ verts[0], flips
+    return lam @ verts[0]
+
+
+def _p1_gradients(tet_vertices, vertex_values):
+    """(n, 3) gradients of the vertex-linear interpolants on (n, 4, 3) tets."""
+    n = len(tet_vertices)
+    system = np.concatenate([np.ones((n, 4, 1)), tet_vertices], axis=2)
+    return np.linalg.solve(system, vertex_values[..., None])[:, 1:, 0]
 
 
 class TestMarchingTet:
     def test_one_negative_vertex(self):
-        tris, _ = _march_one(REF_TET, [-1.0, 1.0, 1.0, 1.0])
+        tris = _march_one(REF_TET, [-1.0, 1.0, 1.0, 1.0])
         assert len(tris) == 1
         expected = {(0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5)}
         got = {tuple(np.round(v, 12)) for v in tris[0]}
@@ -57,7 +64,7 @@ class TestMarchingTet:
 
     def test_two_two_split(self):
         phi = np.array([-1.0, -1.0, 1.0, 1.0])
-        tris, _ = _march_one(REF_TET, phi)
+        tris = _march_one(REF_TET, phi)
         assert len(tris) == 2
         for tri in tris:
             # all vertices on tet edges where the linear level set vanishes
@@ -65,12 +72,12 @@ class TestMarchingTet:
                 assert abs(lam @ phi) < 1e-12
 
     def test_uniform_sign_empty(self):
-        assert len(_march_one(REF_TET, [1.0, 1.0, 1.0, 1.0])[0]) == 0
-        assert len(_march_one(REF_TET, [-1.0, -1.0, -1.0, -1.0])[0]) == 0
+        assert len(_march_one(REF_TET, [1.0, 1.0, 1.0, 1.0])) == 0
+        assert len(_march_one(REF_TET, [-1.0, -1.0, -1.0, -1.0])) == 0
 
     def test_zero_counts_positive(self):
         # (0, +, +, +) is uniform positive under the tie-break
-        assert len(_march_one(REF_TET, [0.0, 1.0, 1.0, 1.0])[0]) == 0
+        assert len(_march_one(REF_TET, [0.0, 1.0, 1.0, 1.0])) == 0
 
     def test_shared_facet_bit_exact(self):
         # two tets sharing a face produce identical edge roots on that face
@@ -84,8 +91,8 @@ class TestMarchingTet:
             phi_shared = rng.standard_normal(3)
             tet1 = np.vstack([shared, apex1])
             tet2 = np.vstack([shared, apex2])
-            tris1, _ = _march_one(tet1, [*phi_shared, 1.0])
-            tris2, _ = _march_one(tet2, [*phi_shared, 1.0])
+            tris1 = _march_one(tet1, [*phi_shared, 1.0])
+            tris2 = _march_one(tet2, [*phi_shared, 1.0])
             verts1 = {tuple(v) for tri in tris1 for v in tri}
             verts2 = {tuple(v) for tri in tris2 for v in tri}
             on_face1 = {v for v in verts1 if v in verts2}
@@ -96,7 +103,7 @@ class TestMarchingTet:
 
     def test_area_additivity_2v2(self):
         # quad split along either diagonal conserves total area
-        tris, _ = _march_one(REF_TET, [-0.3, -1.4, 0.8, 0.9])
+        tris = _march_one(REF_TET, [-0.3, -1.4, 0.8, 0.9])
         area = sum(
             0.5 * np.linalg.norm(np.cross(t[1] - t[0], t[2] - t[0])) for t in tris
         )
@@ -107,11 +114,18 @@ class TestMarchingTet:
     )
     def test_orientation_points_to_positive_side(self, phi):
         # the flipped cell normal points from phi < 0 towards phi >= 0
-        tris, flips = _march_one(REF_TET, phi)
-        grad = np.linalg.solve(
-            np.vstack([np.ones(4), REF_TET.T]).T, np.asarray(phi)
-        )[1:]  # the gradient of the vertex-linear level set
-        for tri, flip in zip(tris, flips):
+        grad = _p1_gradients(REF_TET[None], np.asarray(phi)[None])[0]
+
+        class Linear:
+            def signed_distance(self, x):
+                return phi[0] + x @ grad
+
+        active = ActiveMesh(
+            h=1.0, active_tets=np.array([0]), vertices=REF_TET, tets=np.array([[0, 1, 2, 3]])
+        )
+        ds = build_surface(active, Linear(), k_g=1)
+        assert ds.n_cells >= 1
+        for tri, flip in zip(ds.nodes, ds.flips):
             normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
             assert (-1.0 if flip else 1.0) * normal @ grad > 0.0
 
@@ -208,15 +222,13 @@ class TestTetInterpolant:
         # zero at the surface nodes of its cells
         for k_g in (1, 2):
             ds = build_surface(active_l1, torus, k_g=k_g)
-            assert ds.phi.order == k_g
+            assert ds.phi.order == ds.k_g == k_g
+            assert ds.phi.lam_grads is active_l1.lam_grads
             npt.assert_array_equal(ds.phi.verts, active_l1.tet_vertices)
             for t in range(0, len(active_l1), 97):
                 nodes = tet_nodes(active_l1.tet_vertices[t], k_g)
                 npt.assert_allclose(ds.phi.values[t], torus.signed_distance(nodes), atol=1e-15)
-            cells = ds.cell_active
-            cell_phi = TetInterpolant(
-                ds.phi.verts[cells, None], k_g, ds.phi.values[cells, None]
-            )
+            cell_phi = ds.phi.restrict(ds.cell_active)
             assert np.abs(cell_phi.value_at(ds.node_lambdas)).max() < 1e-11
 
 
@@ -269,11 +281,20 @@ class TestTorusSurface:
             assert weights.sum() == pytest.approx(tri_area, rel=1e-12)
 
     def test_normals_unit_and_oriented(self, torus, active_l1):
-        for k_g in (1, 2):
-            ds = build_surface(active_l1, torus, k_g=k_g)
-            npt.assert_allclose(np.linalg.norm(ds.normals, axis=1), 1.0, atol=1e-12)
-            exact = torus.surface_normal(ds.points)
-            assert np.all(np.einsum("nx,nx->n", exact, ds.normals) > 0)
+        # the oriented normals point outward and, on every cell, up the
+        # gradient of its tet's vertex-linear phi_h; centered and at the
+        # probe offset
+        probe = Torus(center=(0.031, -0.052, 0.017))
+        for surface, active in ((torus, active_l1), (probe, _active(probe, 1))):
+            for k_g in (1, 2):
+                ds = build_surface(active, surface, k_g=k_g)
+                npt.assert_allclose(np.linalg.norm(ds.normals, axis=1), 1.0, atol=1e-12)
+                exact = surface.surface_normal(ds.points)
+                assert np.all(np.einsum("nx,nx->n", exact, ds.normals) > 0)
+                verts = active.tet_vertices[ds.cell_active]
+                values = surface.signed_distance(verts.reshape(-1, 3)).reshape(-1, 4)
+                grad = _p1_gradients(verts, values)
+                assert np.all(np.einsum("cmx,cx->cm", ds.qp_normals, grad) > 0)
 
     def test_closedness(self, torus, active_l1):
         for k_g in (1, 2):

@@ -26,8 +26,15 @@ def active(torus):
 
 class TestBuildSpace:
     def test_p1_dofs_are_active_vertices(self, active):
+        # one DOF per active-mesh vertex, in lexicographic grid order
         space = build_space(active, 1)
-        assert space.global_dofs == len(np.unique(active.tets))
+        assert space.global_dofs == len(np.unique(active.tets)) == len(active.vertices)
+        npt.assert_array_equal(space.cell_dofs, active.tets)
+        coords = dof_coords(space)
+        npt.assert_array_equal(coords, active.vertices)
+        x, y, z = coords.T
+        npt.assert_array_equal(np.lexsort((z, y, x)), np.arange(len(coords)))
+        assert len(np.unique(coords, axis=0)) == len(coords)
 
     def test_p2_dofs_vertices_plus_edges(self, active):
         space = build_space(active, 2)
@@ -55,7 +62,7 @@ class TestBuildSpace:
                 assert pair_of.setdefault(int(dofs[4 + k]), pair) == pair
         pairs = [pair_of[d] for d in range(n_vertex_dofs, space.global_dofs)]
         assert all(p < q for p, q in zip(pairs, pairs[1:]))
-        vertices = active.parent.vertices
+        vertices = active.vertices
         midpoints = [0.5 * (vertices[a] + vertices[b]) for a, b in pairs]
         npt.assert_array_equal(dof_coords(space)[n_vertex_dofs:], midpoints)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,6 +139,32 @@ class TestExtractActive:
         npt.assert_allclose(active.volumes, _tet_signed_volumes(mesh)[active.active_tets])
         npt.assert_allclose(active.volumes, mesh.h**3 / 6.0, rtol=1e-12)
         assert active.volumes is active.volumes
+
+    def test_active_mesh_owns_its_vertices(self):
+        # the active mesh's vertices are the used background vertices in
+        # increasing global id, each used, and its tets index them
+        mesh = refine_uniform(build_background(n_cells=14))
+        active = extract_active(mesh, Torus().signed_distance(mesh.vertices))
+        global_tets = mesh.tets[active.active_tets]
+        npt.assert_array_equal(active.tet_vertices, mesh.vertices[global_tets])
+        n1 = mesh.n_cells + 1
+        lo = np.array([lo for lo, _ in mesh.box])
+        i, j, k = np.rint((active.vertices - lo) / mesh.h).astype(np.int64).T
+        ids = (i * n1 + j) * n1 + k
+        assert np.all(np.diff(ids) > 0)
+        npt.assert_array_equal(mesh.vertices[ids], active.vertices)
+        npt.assert_array_equal(ids[active.tets], global_tets)
+        npt.assert_array_equal(np.unique(active.tets), np.arange(len(active.vertices)))
+        assert active.h == mesh.h
+
+    def test_active_mesh_keeps_no_background_mesh_alive(self):
+        mesh = build_background(n_cells=14)
+        active = extract_active(mesh, Torus().signed_distance(mesh.vertices))
+        background = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert background() is None
+        assert len(active) > 0
 
     def test_not_resolved_raises(self):
         mesh = build_background(UNIT_BOX, 2)

@@ -1,8 +1,11 @@
 """The legacy VTK writer, pinned byte for byte."""
 
 import numpy as np
+import numpy.testing as npt
 
-from surfdarcy.vtk_io import write_unstructured_grid
+from surfdarcy.geometry import Torus
+from surfdarcy.mesh import build_background, extract_active
+from surfdarcy.vtk_io import export_active_mesh, write_unstructured_grid
 
 POINTS = [
     [0.0, -0.0, 1e-300],
@@ -105,3 +108,23 @@ def test_every_value_reads_as_its_twelve_digit_fstring(tmp_path):
     assert lines[start : start + 200] == rows(points[:, :1])
     start = lines.index("VECTORS v double") + 1
     assert lines[start:] == rows(points) + [""]
+
+
+def test_active_mesh_file_numbers_the_used_vertices_in_global_order(tmp_path):
+    mesh = build_background(n_cells=14)
+    active = extract_active(mesh, Torus().signed_distance(mesh.vertices))
+    global_tets = mesh.tets[active.active_tets]
+    used = np.unique(global_tets)
+    n, nt = len(used), len(active)
+    path = tmp_path / "active.vtk"
+    export_active_mesh(path, active)
+
+    lines = path.read_text().split("\n")
+    assert lines[4] == f"POINTS {n} double"
+    assert lines[5 : 5 + n] == [" ".join(f"{x:.12g}" for x in mesh.vertices[v]) for v in used]
+    assert lines[5 + n] == f"CELLS {nt} {5 * nt}"
+    cells = np.array([row.split() for row in lines[6 + n : 6 + n + nt]], dtype=np.int64)
+    assert np.all(cells[:, 0] == 4)
+    npt.assert_array_equal(used[cells[:, 1:]], global_tets)
+    assert lines[6 + n + nt] == f"CELL_TYPES {nt}"
+    assert lines[7 + n + nt :] == ["10"] * nt + [""]
