@@ -11,7 +11,6 @@ from .assembly import (
 )
 from .cut_surface import (
     DiscreteSurface,
-    TetInterpolant,
     build_surface,
     surface_mean,
     with_quadrature,

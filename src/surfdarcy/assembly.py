@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fe_space, shapes
-from .cut_surface import DiscreteSurface, chunks
+from .cut_surface import DiscreteSurface, chunks, level_set_normals
 from .fe_space import FESpace
 from .mesh import ActiveMesh
 from .quadrature import tet_rule
@@ -237,9 +237,9 @@ def assemble_stabilization(
 
     FULL_GRADIENT penalizes the full gradient over every active tet;
     NORMAL_GRADIENT penalizes only the component along the bulk normal field
-    grad(phi_h)/|grad(phi_h)| of the surface's own level-set interpolant,
-    falling back to the exact distance gradient where it degenerates.  The
-    element matrices are formed in chunks of CHUNK_CELLS active tets.
+    grad(phi_h)/|grad(phi_h)| of the surface's own level set
+    (`level_set_normals`), the exact surface normal where it degenerates.
+    The element matrices are formed in chunks of CHUNK_CELLS active tets.
     """
     active = ds.active
     if space.active_mesh is not active:
@@ -263,7 +263,8 @@ def assemble_stabilization(
         if kind == Stabilization.FULL_GRADIENT:
             data = _grad_gram(weights, grads)
         else:
-            normals = ds.phi.restrict(tets).normal_at(bary, ds.surface.surface_normal)
+            cells = np.arange(len(volumes))[tets, None]
+            normals = level_set_normals(ds.phi_space, ds.phi, ds.surface, cells, bary)
             ndot = (grads @ normals[..., None])[..., 0]  # (t, m, nb)
             data = _gram(weights, ndot, ndot)
         data *= scale

@@ -2,30 +2,32 @@
 level set, optional quadratic lifting for second-order geometry, and
 quadrature-ready surface cells with oriented normals.
 
-The discrete level set phi_h is the degree-k_g nodal interpolant of the exact
-signed distance on every active tet (`TetInterpolant`), with the active
-mesh's barycentric gradients.  The first-order surface is the zero set of its
-vertex values' linear interpolant, one or two planar triangles per cut tet,
-each oriented to point up the gradient of that linear interpolant.  The
-second-order surface lifts the 3 vertices and 3 edge midpoints of every base
-triangle onto the zero set of the quadratic phi_h, along the per-tet
-quasi-normal grad(phi_h)/|grad(phi_h)|.
+The discrete level set phi_h is the nodal interpolant of the exact signed
+distance in the P_k_g space on the active mesh (`fe_space.interpolate`), and
+is evaluated like any function of that space.  The first-order surface is
+the zero set of its vertex values' linear interpolant, one or two planar
+triangles per cut tet, each oriented to point up the gradient of that linear
+interpolant.  The second-order surface lifts the 3 vertices and 3 edge
+midpoints of every base triangle onto the zero set of the quadratic phi_h,
+along the quasi-normal grad(phi_h)/|grad(phi_h)| of the cell's tet
+(`level_set_normals`).
 The lift is not constrained to the tet entity a node lies on: a curved node
-may leave its parent tet by O(h^2), and the copies of a base vertex shared by
-neighboring tets are lifted by different interpolants, so they do not
-coincide.  On the centered torus two copies lie up to 0.53 h^4 apart at
-level 0 and 0.68 h^4 at level 1, below the O(h^3) geometric error.
+may leave its parent tet by O(h^2).  phi_h is continuous, but its gradient
+jumps across the faces of the tets, so the copies of a base vertex shared by
+neighboring tets move along different directions and do not coincide.  On
+the centered torus two copies lie up to 0.53 h^4 apart at level 0 and
+0.68 h^4 at level 1, below the O(h^3) geometric error.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from . import shapes
+from . import fe_space, shapes
+from .fe_space import FESpace
 from .geometry import ImplicitSurface
 from .mesh import ActiveMesh
 from .quadrature import triangle_rule
@@ -33,8 +35,8 @@ from .quadrature import triangle_rule
 __all__ = [
     "CHUNK_CELLS",
     "DiscreteSurface",
-    "TetInterpolant",
     "build_surface",
+    "level_set_normals",
     "chunks",
     "surface_mean",
     "with_quadrature",
@@ -69,7 +71,8 @@ class CutSurfaceError(RuntimeError):
 class DiscreteSurface:
     surface: ImplicitSurface
     active: ActiveMesh
-    phi: TetInterpolant  # phi_h of order k_g, a (n_active,) batch of active tets
+    phi_space: FESpace  # P_k_g on the active mesh
+    phi: np.ndarray  # (phi_space.global_dofs,) coefficients of phi_h
     cell_active: np.ndarray  # (nc,) position of the parent tet in the active mesh
     nodes: np.ndarray  # (nc, 3 or 6, 3)
     node_lambdas: np.ndarray  # (nc, 3 or 6, 4) barycentric w.r.t. parent tet
@@ -82,7 +85,7 @@ class DiscreteSurface:
     @property
     def k_g(self):
         """The geometry order, that of phi_h."""
-        return self.phi.order
+        return self.phi_space.order
 
     @property
     def n_cells(self):
@@ -155,77 +158,6 @@ def chunks(n: int):
     return [
         slice(start, min(start + CHUNK_CELLS, n)) for start in range(0, max(n, 1), CHUNK_CELLS)
     ]
-
-
-class TetInterpolant:
-    """Nodal interpolant phi_h of a scalar field on tets (order 1 or 2).
-
-    The one definition of the discrete level set: its zero set is the
-    discrete surface, and its normal grad(phi_h)/|grad(phi_h)| is both the
-    lift direction of the quadratic surface and the bulk normal of the
-    normal-gradient stabilization.  Vertices have shape (..., 4, 3) and
-    nodal values (..., 4) for order 1 or (..., 10) for order 2 (vertices,
-    then the TET_EDGES midpoints).  The evaluators at barycentric
-    coordinates broadcast the batch shape against the points' leading shape:
-    a (t, 1) batch evaluated at (m, 4) or (t, m, 4) coordinates gives (t, m).
-    The gradients of the barycentric coordinates, `lam_grads` (..., 4, 3),
-    are computed on first use; an interpolant on active-mesh tets takes the
-    mesh's own, and `restrict` shares them.
-    """
-
-    def __init__(self, tet_vertices, order: int, values):
-        self.verts = np.asarray(tet_vertices, dtype=float)
-        self.order = int(order)
-        self.values = np.asarray(values, dtype=float)
-        if self.order not in (1, 2):
-            raise ValueError("interpolation order must be 1 or 2")
-        n_nodes = len(shapes.tet_nodes(self.order))
-        if self.values.shape[-1:] != (n_nodes,):
-            raise ValueError(f"expected {n_nodes} nodal values for order {order}")
-
-    @cached_property
-    def lam_grads(self):
-        return shapes.barycentric_gradients(self.verts)
-
-    def restrict(self, tets):
-        """The interpolant on the tets `tets` (indices or a slice) of this
-        (n,) batch, as a (k, 1) batch sharing their barycentric gradients."""
-        part = TetInterpolant(self.verts[tets, None], self.order, self.values[tets, None])
-        part.lam_grads = self.lam_grads[tets, None]
-        return part
-
-    @classmethod
-    def of_field(cls, tet_vertices, order, field):
-        """Interpolate `field`, evaluated in one call on all nodes."""
-        verts = np.asarray(tet_vertices, dtype=float)
-        nodes = shapes.tet_nodes(order) @ verts
-        values = np.asarray(field(nodes.reshape(-1, 3)), dtype=float)
-        return cls(verts, order, values.reshape(nodes.shape[:-1]))
-
-    def value_at(self, lam):
-        return np.einsum("...k,...k->...", shapes.tet_values(self.order, lam), self.values)
-
-    def dvalue_at(self, lam):
-        """Derivatives with respect to the 4 barycentric coords: (..., 4)."""
-        return shapes.tet_dlam(self.order, lam, self.values)
-
-    def gradient_at(self, lam):
-        return (self.dvalue_at(lam)[..., None, :] @ self.lam_grads)[..., 0, :]
-
-    def normal_at(self, lam, exact_normal):
-        """Unit normal grad(phi_h)/|grad(phi_h)|, (..., 3).
-
-        Where |grad(phi_h)| <= 1e-10 the normal is `exact_normal` (a map of
-        (k, 3) points to (k, 3) unit normals) at the physical point.
-        """
-        grad = self.gradient_at(lam)
-        norms = np.linalg.norm(grad, axis=-1)
-        degenerate = norms <= 1e-10
-        if np.any(degenerate):
-            points = (lam[..., None, :] @ self.verts)[..., 0, :]
-            grad[degenerate] = exact_normal(points[degenerate])
-            norms = np.linalg.norm(grad, axis=-1)
-        return grad / norms[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +246,52 @@ def _march_batch(tet_verts, phi):
 
 
 # ---------------------------------------------------------------------------
-# quadratic lift
+# level-set normal and quadratic lift
 # ---------------------------------------------------------------------------
 
 
-def _line_roots(phi: TetInterpolant, lam0, dlam, h):
+def level_set_normals(phi_space: FESpace, phi, surface: ImplicitSurface, cells, lambdas):
+    """Unit normals grad(phi_h)/|grad(phi_h)| of the level set with
+    coefficients `phi` in `phi_space`, at barycentric coordinates `lambdas`
+    of the active tets `cells`, broadcast as in `fe_space.evaluate`: (..., 3).
+
+    Both the lift of the quadratic surface and the normal-gradient
+    stabilization take their direction from here.  Where |grad(phi_h)| <=
+    1e-10 the normal is the exact surface's at the physical point, and the
+    number of such points is logged.
+    """
+    grad = fe_space.evaluate_gradient(phi_space, phi, cells, lambdas)
+    norms = np.linalg.norm(grad, axis=-1)
+    degenerate = norms <= 1e-10
+    n_degenerate = int(degenerate.sum())
+    if n_degenerate:
+        log.warning(
+            "level-set normal: the exact surface normal at %d points where "
+            "|grad(phi_h)| <= 1e-10",
+            n_degenerate,
+        )
+        active = phi_space.active_mesh
+        verts = active.vertices[active.tets[cells]]
+        points = (np.asarray(lambdas)[..., None, :] @ verts)[..., 0, :]
+        grad[degenerate] = surface.surface_normal(points[degenerate])
+        norms = np.linalg.norm(grad, axis=-1)
+    return grad / norms[..., None]
+
+
+def _line_roots(phi_space: FESpace, phi, cells, lam0, dlam, h):
     """Step lengths t onto the zero set of phi_h along barycentric rays
-    lam0 + t * dlam, both (..., 4) and broadcast against phi's batch.
+    lam0 + t * dlam, both (..., 4), in the active tets `cells`, broadcast as
+    in `fe_space.evaluate`.
 
     The restriction of phi_h to a line is a polynomial of degree at most 2
     in t, so the roots come in closed form; the real root nearest the start
     point is chosen.  Returns (t, resolved) with t = 0 where no real root
     lies within |t| <= h.
     """
-    c = phi.value_at(lam0)
-    b = np.einsum("...a,...a->...", phi.dvalue_at(lam0), dlam)
-    a = phi.value_at(lam0 + dlam) - c - b
+    c = fe_space.evaluate(phi_space, phi, cells, lam0)
+    local = phi[phi_space.cell_dofs[cells]]
+    b = np.einsum("...a,...a->...", shapes.tet_dlam(phi_space.order, lam0, local), dlam)
+    a = fe_space.evaluate(phi_space, phi, cells, lam0 + dlam) - c - b
 
     quad = np.abs(a) > 1e-14 * (np.abs(b) + np.abs(c) + 1e-300)
     disc = b * b - 4.0 * a * c
@@ -358,10 +320,13 @@ def build_surface(active: ActiveMesh, surface: ImplicitSurface, k_g: int = 1) ->
     mesh, with the triangle rule of degree QUAD_DEGREE on its cells."""
     if k_g not in (1, 2):
         raise ValueError("geometry order k_g must be 1 or 2")
-    phi = TetInterpolant.of_field(active.tet_vertices, k_g, surface.signed_distance)
-    phi.lam_grads = active.lam_grads
-    cell_active, lam3 = _march_batch(phi.verts, phi.values[:, :4])
-    nodes3 = lam3 @ phi.verts[cell_active]
+    phi_space = fe_space.build_space(active, k_g)
+    phi = fe_space.interpolate(phi_space, surface.signed_distance)
+    # the vertices are the first DOFs of either order
+    vertex_phi = phi[active.tets]
+    tet_vertices = active.tet_vertices
+    cell_active, lam3 = _march_batch(tet_vertices, vertex_phi)
+    nodes3 = lam3 @ tet_vertices[cell_active]
     raw_n = np.cross(nodes3[:, 1] - nodes3[:, 0], nodes3[:, 2] - nodes3[:, 0])
 
     keep = 0.5 * np.linalg.norm(raw_n, axis=1) >= SLIVER_FACTOR * active.h**2
@@ -375,20 +340,19 @@ def build_surface(active: ActiveMesh, surface: ImplicitSurface, k_g: int = 1) ->
         )
     # orient each cell towards phi_h >= 0: up the gradient of the linear
     # phi_h of its tet
-    grad = (phi.values[cell_active, None, :4] @ active.lam_grads[cell_active])[:, 0]
+    grad = (vertex_phi[cell_active, None] @ active.lam_grads[cell_active])[:, 0]
     flips = np.einsum("kx,kx->k", raw_n, grad) < 0.0
 
     if k_g == 1:
         node_lam = lam3
         nodes = nodes3
     else:
-        node_lam, nodes = _lift_cells(
-            phi.restrict(cell_active), lam3, active.h, surface.surface_normal
-        )
+        node_lam, nodes = _lift_cells(phi_space, phi, surface, cell_active, lam3)
 
     return DiscreteSurface(
         surface=surface,
         active=active,
+        phi_space=phi_space,
         phi=phi,
         cell_active=cell_active,
         nodes=nodes,
@@ -398,9 +362,9 @@ def build_surface(active: ActiveMesh, surface: ImplicitSurface, k_g: int = 1) ->
     )
 
 
-def _lift_cells(phi, lam3, h, exact_normal):
-    """Lift the vertices and edge midpoints of the base triangles onto the
-    zero set of phi_h, a (nc, 1) batch holding each cell's parent tet.
+def _lift_cells(phi_space: FESpace, phi, surface: ImplicitSurface, cells, lam3):
+    """Lift the vertices and edge midpoints of the base triangles, with
+    barycentrics lam3 in their tets `cells`, onto the zero set of phi_h.
 
     Every node moves along the quasi-normal grad(phi_h)/|grad(phi_h)| of its
     own cell's tet (see the module docstring for what that means for nodes
@@ -408,15 +372,19 @@ def _lift_cells(phi, lam3, h, exact_normal):
     base surface, so even needle-shaped base cells (surface grazing a mesh
     vertex) stay fold-free.
     """
+    active = phi_space.active_mesh
     lam6 = shapes.tri_nodes(2) @ lam3  # (nc, 6, 4)
-    d = phi.normal_at(lam6, exact_normal)  # (nc, 6, 3)
-    dlam = (phi.lam_grads @ d[..., None])[..., 0]
-    t, resolved = _line_roots(phi, lam6, dlam, h)
+    at = (cells[:, None], lam6)
+    d = level_set_normals(phi_space, phi, surface, *at)  # (nc, 6, 3)
+    dlam = (active.lam_grads[cells, None] @ d[..., None])[..., 0]
+    t, resolved = _line_roots(phi_space, phi, *at, dlam, active.h)
     unresolved = int((~resolved).sum())
     if unresolved:
         log.warning("quadratic lift: %d nodes kept at their base position", unresolved)
     lam6 = lam6 + t[..., None] * dlam
-    lifted = (lam6[..., None, :] @ phi.verts)[..., 0, :]
+    # one (1, 4) @ (4, 3) product per node: (nc, 6, 4) @ (nc, 4, 3) rounds
+    # the node coordinates differently
+    lifted = (lam6[..., None, :] @ active.vertices[active.tets[cells, None]])[..., 0, :]
     return lam6, lifted
 
 

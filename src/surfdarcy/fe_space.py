@@ -6,13 +6,19 @@ order: they are the P1 DOFs in that order, followed for P2 by the edges
 ordered by their sorted endpoint pair, so rebuilding from identical inputs
 yields identical DOF maps.
 
+A function of a space is its coefficient vector: u_h and p_h, and the
+discrete level set phi_h, the nodal interpolant (`interpolate`) of the
+signed distance in the space of the geometry order.
+
 Basis functions are tabulated at points given by their active tet and their
 barycentric coordinates in it, which the discrete surface already holds for
 its quadrature points and nodes; nothing here locates a physical point.  The
 gradients of the barycentric coordinates are those of the active mesh, which
 computes them once for all spaces built on it.  Assembly needs the basis
 tables (`tabulate`); a function with given coefficients is evaluated from
-its local coefficients without them (`evaluate`, `evaluate_gradient`).
+its local coefficients without them (`evaluate`, `evaluate_gradient`),
+which gather each tet's coefficients and barycentric gradients once for all
+its points.
 The basis of each order is chosen in `shapes` only: every function here
 passes the space's order to it.
 """
@@ -26,7 +32,7 @@ import numpy as np
 from . import shapes
 from .mesh import ActiveMesh
 
-__all__ = ["FESpace", "build_space", "FESpaceError"]
+__all__ = ["FESpace", "build_space", "interpolate", "FESpaceError"]
 
 
 class FESpaceError(ValueError):
@@ -79,26 +85,44 @@ def tabulate(space: FESpace, cell_positions, lambdas):
     return shapes.tet_values(space.order, lam), shapes.tet_gradients(space.order, lam, lam_grads)
 
 
+def interpolate(space: FESpace, field):
+    """Coefficients of the nodal interpolant of `field`, a map of (n, 3)
+    points to (n,) values, called once on the global_dofs nodes."""
+    nodes = np.empty((space.global_dofs, 3))
+    nodes[space.cell_dofs] = shapes.tet_nodes(space.order) @ space.active_mesh.tet_vertices
+    return np.asarray(field(nodes), dtype=float)
+
+
 def evaluate(space: FESpace, coeffs, cell_positions, lambdas):
     """Values of the FE functions with coefficients (..., global_dofs) at
-    barycentric coordinates (n, 4) of active tets: (n, ...)."""
+    barycentric coordinates (..., 4) of active tets.
+
+    The tets' shape broadcasts against the points' leading shape: (n,) tets
+    at (n, 4) coordinates, or (t, 1) tets at (m, 4) or (t, m, 4) ones.
+    Returns that broadcast shape, then the functions' leading shape: (n, ...)
+    for n points.
+    """
     cells = np.asarray(cell_positions, dtype=np.int64)
-    lam = np.asarray(lambdas, dtype=float)
-    local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
-    return np.einsum("nb,...nb->n...", shapes.tet_values(space.order, lam), local)
+    coeffs = np.asarray(coeffs)
+    local = coeffs[..., space.cell_dofs[cells]]
+    comps = "uvw"[: coeffs.ndim - 1]  # einsum labels of the functions' leading axes
+    values = shapes.tet_values(space.order, lambdas)
+    return np.einsum(f"...b,{comps}...b->...{comps}", values, local)
 
 
 def evaluate_gradient(space: FESpace, coeffs, cell_positions, lambdas):
     """Physical gradients of the FE functions with coefficients
-    (..., global_dofs) at barycentric coordinates (n, 4) of active tets:
-    (n, ..., 3).
+    (..., global_dofs) at barycentric coordinates (..., 4) of active tets,
+    broadcast as in `evaluate`: (n, ..., 3) for n points.
 
     The local coefficients are contracted first, into the derivative along
     the 4 barycentric coordinates, so no basis gradient table is formed; each
     point's tet then applies its barycentric gradients once.
     """
     cells = np.asarray(cell_positions, dtype=np.int64)
-    lam = np.asarray(lambdas, dtype=float)
-    local = np.asarray(coeffs)[..., space.cell_dofs[cells]]
-    dlam = shapes.tet_dlam(space.order, lam, local)
-    return np.einsum("...ni,nix->n...x", dlam, space.active_mesh.lam_grads[cells])
+    coeffs = np.asarray(coeffs)
+    local = coeffs[..., space.cell_dofs[cells]]
+    comps = "uvw"[: coeffs.ndim - 1]
+    dlam = shapes.tet_dlam(space.order, lambdas, local)
+    lam_grads = space.active_mesh.lam_grads[cells]
+    return np.einsum(f"{comps}...i,...ix->...{comps}x", dlam, lam_grads)

@@ -108,8 +108,7 @@ class ActiveMesh:
     @cached_property
     def lam_grads(self):
         """(n_active, 4, 3) gradients of the barycentric coordinates of the
-        active tets, computed once per active mesh for all its spaces and
-        level-set interpolants."""
+        active tets, computed once per active mesh for all its spaces."""
         return barycentric_gradients(self.tet_vertices)
 
     @cached_property

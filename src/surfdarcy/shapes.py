@@ -3,9 +3,10 @@ barycentric form, plus the affine helpers shared by the surface extraction
 and the finite element spaces.
 
 The basis of each order and its nodes (`tet_nodes`, `tri_nodes`) are chosen
-here only: the spaces, phi_h, the surface cells, the stabilization and the
-VTK export pass their order to these functions.  Physical
-gradients enter only through `tet_gradients` and `tet_dlam`.
+here only: the spaces (and with them phi_h, a function of one), the surface
+cells, the stabilization and the VTK export pass their order to these
+functions.  Physical gradients enter only through `tet_gradients` and
+`tet_dlam`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from functools import partial
 
 import numpy as np
 
-from . import fe_space
 from .assembly import (
     Stabilization,
     assemble,
@@ -199,8 +198,8 @@ def lemma_ratio_suite(
     ratios = {kind: [] for kind in _KINDS}  # (scaled-L2, Poincare) per level
     for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
-        space = fe_space.build_space(active, 1)
         ds = build_surface(active, surface, k_g=1)
+        space = ds.phi_space
         forms = (
             active.h,
             assemble_bulk_mass(space, active),
@@ -238,7 +237,7 @@ def _solve_translation(mesh, tau, alpha, seed, delta) -> list:
     surface = exact.surface
     active = extract_active(mesh, surface.signed_distance(mesh.vertices))
     ds = build_surface(active, surface, k_g=1)
-    spaces = (fe_space.build_space(active, 1),) * 2
+    spaces = (ds.phi_space,) * 2
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
     records = []
     for kind in _KINDS:

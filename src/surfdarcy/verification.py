@@ -273,14 +273,20 @@ def compute_eoc(errors) -> list:
     return eoc
 
 
+def _space(ds: DiscreteSurface, order: int):
+    """The space of `order` on the active mesh of ds: phi_h's own when the
+    orders agree."""
+    return ds.phi_space if order == ds.k_g else fe_space.build_space(ds.active, order)
+
+
 def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     """Solve one refinement level; returns (LevelResult pieces, objects)."""
     surface = exact.surface
     phi = surface.signed_distance(mesh.vertices)
     active = extract_active(mesh, phi)
     ds = build_surface(active, surface, config.k_g)
-    vspace = fe_space.build_space(active, config.k_u)
-    pspace = vspace if config.k_p == config.k_u else fe_space.build_space(active, config.k_p)
+    vspace = _space(ds, config.k_u)
+    pspace = vspace if config.k_p == config.k_u else _space(ds, config.k_p)
     spaces = (vspace, pspace)
     data = (exact.f_field, exact.g_field)
     system = stabilize(

@@ -1,21 +1,32 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from surfdarcy import fe_space
 from surfdarcy.cut_surface import (
-    TetInterpolant,
     _attach_quadrature,
     _line_roots,
     _march_batch,
     build_surface,
+    level_set_normals,
     surface_mean,
     with_quadrature,
 )
+from surfdarcy.fe_space import build_space
 from surfdarcy.geometry import Torus
 from surfdarcy.mesh import ActiveMesh, build_background, extract_active, refine_uniform
 from surfdarcy.quadrature import triangle_rule
 
-from oracle import barycentric_coords, cell_quadrature, interpolant_gradient, lift, tet_nodes
+from oracle import (
+    TET_EDGE_PAIRS,
+    barycentric_coords,
+    cell_quadrature,
+    interpolant_gradient,
+    lift,
+    tet_nodes,
+)
 
 REF_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 TORUS_AREA = 4 * np.pi**2 * 1.0 * 0.5
@@ -36,6 +47,23 @@ def _active(torus, level):
 @pytest.fixture(scope="module")
 def active_l1(torus):
     return _active(torus, 1)
+
+
+def _one_tet(verts):
+    """An active mesh of the single tet `verts` (4, 3)."""
+    return ActiveMesh(
+        h=1.0,
+        active_tets=np.array([0]),
+        vertices=np.asarray(verts, dtype=float),
+        tets=np.array([[0, 1, 2, 3]]),
+    )
+
+
+def _interpolant(verts, order, field):
+    """The P_order space on the single tet `verts` and the coefficients of
+    the interpolant of `field` in it."""
+    space = build_space(_one_tet(verts), order)
+    return space, fe_space.interpolate(space, field)
 
 
 def _march_one(tet, phi):
@@ -120,10 +148,7 @@ class TestMarchingTet:
             def signed_distance(self, x):
                 return phi[0] + x @ grad
 
-        active = ActiveMesh(
-            h=1.0, active_tets=np.array([0]), vertices=REF_TET, tets=np.array([[0, 1, 2, 3]])
-        )
-        ds = build_surface(active, Linear(), k_g=1)
+        ds = build_surface(_one_tet(REF_TET), Linear(), k_g=1)
         assert ds.n_cells >= 1
         for tri, flip in zip(ds.nodes, ds.flips):
             normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
@@ -136,41 +161,41 @@ class TestLiftPoint:
 
     @staticmethod
     def _lift(interp, x0, direction, h=1.0):
-        lam0 = barycentric_coords(interp.verts, x0)
-        dlam = interp.lam_grads @ np.asarray(direction, dtype=float)
-        t, resolved = _line_roots(interp, lam0, dlam, h)
-        return x0 + t * np.asarray(direction), bool(resolved)
+        space, phi = interp
+        active = space.active_mesh
+        lam0 = barycentric_coords(active.vertices, x0)
+        dlam = active.lam_grads[0] @ np.asarray(direction, dtype=float)
+        t, resolved = _line_roots(space, phi, [0], lam0, dlam, h)
+        return x0 + t[0] * np.asarray(direction), bool(resolved[0])
 
     def test_already_on_zero_set(self):
-        interp = TetInterpolant.of_field(REF_TET, 2, lambda p: p[:, 0] - 0.25)
+        interp = _interpolant(REF_TET, 2, lambda p: p[:, 0] - 0.25)
         out, resolved = self._lift(interp, np.array([0.25, 0.2, 0.2]), [1.0, 0, 0])
         assert resolved
         npt.assert_allclose(out, [0.25, 0.2, 0.2], atol=1e-13)
 
     def test_affine_matches_linear_interpolation(self):
-        interp = TetInterpolant.of_field(REF_TET, 2, lambda p: 2 * p[:, 0] - 0.5)
+        interp = _interpolant(REF_TET, 2, lambda p: 2 * p[:, 0] - 0.5)
         out, resolved = self._lift(interp, np.array([0.1, 0.3, 0.1]), [1.0, 0, 0])
         assert resolved
         npt.assert_allclose(out, [0.25, 0.3, 0.1], atol=1e-13)
 
     def test_sphere_root(self):
         verts = np.array([[0.85, -0.1, -0.1], [1.1, 0, 0], [0.85, 0.3, 0], [0.85, 0, 0.3]])
-        interp = TetInterpolant.of_field(
-            verts, 2, lambda p: np.einsum("nx,nx->n", p, p) - 1.0
-        )
+        interp = _interpolant(verts, 2, lambda p: np.einsum("nx,nx->n", p, p) - 1.0)
         out, resolved = self._lift(interp, np.array([0.9, 0.0, 0.0]), [1.0, 0, 0])
         assert resolved
         npt.assert_allclose(out, [1.0, 0, 0], atol=1e-12)
 
     def test_no_root_is_unresolved(self):
-        interp = TetInterpolant.of_field(REF_TET, 2, lambda p: p[:, 0] + 10.0)
+        interp = _interpolant(REF_TET, 2, lambda p: p[:, 0] + 10.0)
         x0 = np.array([0.2, 0.2, 0.2])
         out, resolved = self._lift(interp, x0, [1.0, 0, 0], h=0.5)
         assert not resolved
         npt.assert_array_equal(out, x0)
 
     def test_linear_interpolant(self):
-        interp = TetInterpolant.of_field(REF_TET, 1, lambda p: 2 * p[:, 0] - 0.5)
+        interp = _interpolant(REF_TET, 1, lambda p: 2 * p[:, 0] - 0.5)
         out, resolved = self._lift(interp, np.array([0.1, 0.3, 0.1]), [1.0, 0, 0])
         assert resolved
         npt.assert_allclose(out, [0.25, 0.3, 0.1], atol=1e-13)
@@ -195,21 +220,25 @@ class TestLiftPoint:
                 npt.assert_allclose(out, curved.nodes[c, i], rtol=0, atol=1e-14)
 
 
-class TestTetInterpolant:
+class TestLevelSet:
+    """phi_h as a function of the P_k_g space: its interpolation, its
+    evaluation and its unit normal."""
+
     def test_reproduces_quadratic(self):
         field = lambda p: 1 + 2 * p[:, 0] - p[:, 1] * p[:, 2] + p[:, 2] ** 2
-        interp = TetInterpolant.of_field(REF_TET, 2, field)
+        space, phi = _interpolant(REF_TET, 2, field)
         rng = np.random.default_rng(4)
         lam = rng.dirichlet(np.ones(4), size=20)
         pts = lam @ REF_TET
-        npt.assert_allclose(interp.value_at(lam), field(pts), atol=1e-13)
+        values = fe_space.evaluate(space, phi, np.zeros(20, dtype=int), lam)
+        npt.assert_allclose(values, field(pts), atol=1e-13)
 
     def test_gradient_matches_fd(self):
         field = lambda p: p[:, 0] ** 2 - 0.5 * p[:, 1] * p[:, 0] + p[:, 2]
-        interp = TetInterpolant.of_field(REF_TET, 2, field)
+        space, phi = _interpolant(REF_TET, 2, field)
         x = np.array([0.2, 0.3, 0.1])
-        value = lambda y: interp.value_at(barycentric_coords(REF_TET, y))
-        grad = interp.gradient_at(barycentric_coords(REF_TET, x))
+        value = lambda y: fe_space.evaluate(space, phi, [0], barycentric_coords(REF_TET, y))[0]
+        grad = fe_space.evaluate_gradient(space, phi, [0], barycentric_coords(REF_TET, x))[0]
         step = 1e-6
         for c in range(3):
             e = np.zeros(3)
@@ -218,18 +247,44 @@ class TestTetInterpolant:
             assert grad[c] == pytest.approx(fd, abs=1e-8)
 
     def test_surface_holds_the_interpolant_it_cut(self, torus, active_l1):
-        # phi_h on every active tet: the distance at the tet's nodes, and
-        # zero at the surface nodes of its cells
+        # phi_h in the P_k_g space of the active mesh: the distance at every
+        # tet's nodes, bit for bit, and zero at the surface nodes of its cells
+        verts = active_l1.tet_vertices
         for k_g in (1, 2):
             ds = build_surface(active_l1, torus, k_g=k_g)
-            assert ds.phi.order == ds.k_g == k_g
-            assert ds.phi.lam_grads is active_l1.lam_grads
-            npt.assert_array_equal(ds.phi.verts, active_l1.tet_vertices)
-            for t in range(0, len(active_l1), 97):
-                nodes = tet_nodes(active_l1.tet_vertices[t], k_g)
-                npt.assert_allclose(ds.phi.values[t], torus.signed_distance(nodes), atol=1e-15)
-            cell_phi = ds.phi.restrict(ds.cell_active)
-            assert np.abs(cell_phi.value_at(ds.node_lambdas)).max() < 1e-11
+            assert ds.phi_space.order == ds.k_g == k_g
+            assert ds.phi_space.active_mesh is active_l1
+            nodes = verts
+            if k_g == 2:
+                mids = [0.5 * (verts[:, a] + verts[:, b]) for a, b in TET_EDGE_PAIRS]
+                nodes = np.concatenate([verts, np.stack(mids, axis=1)], axis=1)
+            distance = torus.signed_distance(nodes.reshape(-1, 3)).reshape(nodes.shape[:2])
+            npt.assert_array_equal(ds.phi[ds.phi_space.cell_dofs], distance)
+            at_nodes = fe_space.evaluate(
+                ds.phi_space, ds.phi, ds.cell_active[:, None], ds.node_lambdas
+            )
+            assert np.abs(at_nodes).max() < 1e-11
+
+    def test_normal_falls_back_where_the_gradient_vanishes(self, caplog):
+        # P2 reproduces phi = |x - c|^2 - 0.01, whose gradient vanishes at c:
+        # the normal there is the exact surface's, elsewhere grad(phi)/|grad(phi)|
+        c = np.array([0.25, 0.25, 0.25])
+        space, phi = _interpolant(REF_TET, 2, lambda p: np.sum((p - c) ** 2, axis=1) - 0.01)
+
+        class Radial:
+            def surface_normal(self, x):
+                return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+        lam = np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]])
+        with caplog.at_level(logging.WARNING, logger="surfdarcy.cut_surface"):
+            normals = level_set_normals(space, phi, Radial(), [0], lam)
+        npt.assert_allclose(normals[0], c / np.linalg.norm(c), rtol=0, atol=1e-15)
+        grad = 2.0 * (lam[1] @ REF_TET - c)
+        npt.assert_allclose(normals[1], grad / np.linalg.norm(grad), rtol=0, atol=1e-14)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [
+            "level-set normal: the exact surface normal at 1 points where |grad(phi_h)| <= 1e-10"
+        ]
 
 
 class TestPlanarSurface:

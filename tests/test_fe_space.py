@@ -132,6 +132,23 @@ class TestCoefficientsFirst:
         scale = np.abs(expected_grad).max()
         npt.assert_allclose(got_grad, expected_grad, rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("components", [(), (3,)], ids=["scalar", "vector"])
+    def test_broadcast_matches_flat(self, active, order, components):
+        # (t, 1) tets at (m, 4) points, each tet's coefficients gathered
+        # once: bit for bit the flat call on every (tet, point) pair
+        rng = np.random.default_rng(8)
+        space = build_space(active, order)
+        tets = rng.integers(0, len(active), size=50)
+        lam = rng.dirichlet(np.ones(4), size=7)
+        coeffs = rng.standard_normal(components + (space.global_dofs,))
+        flat = (np.repeat(tets, 7), np.tile(lam, (50, 1)))
+        for evaluator in (fe_space.evaluate, fe_space.evaluate_gradient):
+            expected = evaluator(space, coeffs, *flat)
+            got = evaluator(space, coeffs, tets[:, None], lam)
+            assert got.shape == (50, 7) + expected.shape[1:]
+            npt.assert_array_equal(got.reshape(expected.shape), expected)
+
 
 class TestContinuity:
     def test_shared_facets_agree(self, active):
@@ -181,6 +198,20 @@ class TestInterpolate:
         pts = np.einsum("nl,nlx->nx", lam, active.tet_vertices[tets])
         values = fe_space.evaluate(space, coeffs, tets, lam)
         npt.assert_allclose(values, field(pts), atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_field_called_once_on_the_dofs(self, active, torus, order):
+        space = build_space(active, order)
+        calls = []
+
+        def field(points):
+            calls.append(points.copy())
+            return torus.signed_distance(points)
+
+        coeffs = fe_space.interpolate(space, field)
+        assert len(calls) == 1
+        npt.assert_array_equal(calls[0], dof_coords(space))
+        npt.assert_array_equal(coeffs, torus.signed_distance(dof_coords(space)))
 
     def test_interpolation_rate_of_extended_pressure(self, torus):
         # nodal interpolation of the extended exact pressure converges at
