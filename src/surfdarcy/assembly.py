@@ -22,8 +22,11 @@ add one such sum per component (`_grad_gram`).
 
 The work at quadrature points is done in chunks of CHUNK_CELLS surface cells
 (`DiscreteSurface.cell_chunks`), or of as many active tets for the
-stabilization: the basis tables and the data at a chunk's points live only
-while the chunk's element matrices are formed.  Those are written into
+stabilization.  Each chunk's basis tables come from `fe_space.tabulate`, with
+one row per cell or tet broadcast against its points: the surface cells'
+(nc, m, 4) quadrature barycentrics, or the tet rule's (m, 4) points shared
+by all tets.  The tables and the data at a chunk's points live only while
+the chunk's element matrices are formed.  Those are written into
 arrays with a row per cell or tet, and each block is scattered from them
 once, with int32 indices.
 """
@@ -109,15 +112,6 @@ class AssembledSystem:
         return np.concatenate([sum(b @ xb for b, xb in zip(row, parts)) for row in self.blocks])
 
 
-def _cell_tab(space: FESpace, ds: DiscreteSurface):
-    """Per-cell basis values (nc, m, nb) and gradients (nc, m, nb, 3) at the
-    surface quadrature points of ds, typically one chunk of a surface."""
-    nc, m = ds.qp_weights.shape
-    values, grads = fe_space.tabulate(space, ds.point_active, ds.lambdas)
-    nb = values.shape[1]
-    return values.reshape(nc, m, nb), grads.reshape(nc, m, nb, 3)
-
-
 def _cell_dofs(space: FESpace, cells):
     """Global DOFs (n, nb) of active tets, as the int32 indices the sparse
     matrices store."""
@@ -175,7 +169,7 @@ def assemble_surface_mass(space: FESpace, ds: DiscreteSurface) -> sp.csr_matrix:
     """(w, v) over the discrete surface."""
 
     def kernel(chunk):
-        vals, _ = _cell_tab(space, chunk)
+        vals, _ = fe_space.tabulate(space, chunk.cell_active[:, None], chunk.qp_lambdas)
         return (_gram(chunk.qp_weights, vals, vals),)
 
     (data,) = _per_cell(ds, kernel)
@@ -189,7 +183,7 @@ def assemble_surface_stiffness(space: FESpace, ds: DiscreteSurface) -> sp.csr_ma
     tangential gradients P_h grad, P_h = I - n_h (x) n_h."""
 
     def kernel(chunk):
-        _, grads = _cell_tab(space, chunk)
+        _, grads = fe_space.tabulate(space, chunk.cell_active[:, None], chunk.qp_lambdas)
         normals = chunk.qp_normals
         grads = grads - (grads @ normals[..., None]) * normals[:, :, None, :]
         return (_grad_gram(chunk.qp_weights, grads),)
@@ -204,7 +198,7 @@ def surface_load_vector(space: FESpace, ds: DiscreteSurface) -> np.ndarray:
     """b_j = integral of basis_j over the discrete surface."""
 
     def kernel(chunk):
-        vals, _ = _cell_tab(space, chunk)
+        vals, _ = fe_space.tabulate(space, chunk.cell_active[:, None], chunk.qp_lambdas)
         w = chunk.qp_weights
         return (_gram(w, vals, np.ones(w.shape + (1,)))[..., 0],)
 
@@ -258,12 +252,11 @@ def assemble_stabilization(
 
     def kernel(tets):
         weights = volumes[tets, None] * w  # (t, m)
-        lam_grads = active.lam_grads[tets, None]  # (t, 1, 4, 3)
-        grads = shapes.tet_gradients(space.order, bary, lam_grads)  # (t, m, nb, 3)
+        cells = np.arange(tets.start, tets.stop)[:, None]  # (t, 1)
+        _, grads = fe_space.tabulate(space, cells, bary)  # (t, m, nb, 3)
         if kind == Stabilization.FULL_GRADIENT:
             data = _grad_gram(weights, grads)
         else:
-            cells = np.arange(len(volumes))[tets, None]
             normals = level_set_normals(ds.phi_space, ds.phi, ds.surface, cells, bary)
             ndot = (grads @ normals[..., None])[..., 0]  # (t, m, nb)
             data = _gram(weights, ndot, ndot)
@@ -303,8 +296,9 @@ def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
         nc, m = w.shape
         # one tabulation per space: the pressure's serves the velocity when
         # the two are the same space, and the zero-mean constraint row
-        pvals, pgrads = _cell_tab(pspace, chunk)
-        uvals = pvals if vspace is pspace else _cell_tab(vspace, chunk)[0]
+        at = (chunk.cell_active[:, None], chunk.qp_lambdas)
+        pvals, pgrads = fe_space.tabulate(pspace, *at)
+        uvals = pvals if vspace is pspace else fe_space.tabulate(vspace, *at)[0]
         ones = np.ones((nc, m, 1))
         # (u_i, d_c p_j) for the three components c at once: (nc, nb_u, nb_p, 3)
         coupling = _gram(w, uvals, pgrads.reshape(nc, m, -1)).reshape(

@@ -233,10 +233,9 @@ def _write_level(case, level, out, outdir: Path):
     solution = out["solution"]
 
     # the surface holds its nodes' barycentrics, in surface_node_points order
-    lam = ds.node_lambdas.reshape(-1, 4)
-    cells = np.repeat(ds.cell_active, ds.node_lambdas.shape[1])
-    p_vals = fe_space.evaluate(pspace, solution.p_coeffs, cells, lam)
-    u_vals = fe_space.evaluate(vspace, solution.u_coeffs, cells, lam)
+    at = (ds.cell_active[:, None], ds.node_lambdas)
+    p_vals = fe_space.evaluate(pspace, solution.p_coeffs, *at).reshape(-1)
+    u_vals = fe_space.evaluate(vspace, solution.u_coeffs, *at).reshape(-1, 3)
     surface_path = outdir / f"surface_case{case}_level{level}.vtk"
     vtk_io.export_surface(
         surface_path,

@@ -96,22 +96,12 @@ class DiscreteSurface:
         return self.qp_points.reshape(-1, 3)
 
     @property
-    def lambdas(self):
-        return self.qp_lambdas.reshape(-1, 4)
-
-    @property
     def weights(self):
         return self.qp_weights.reshape(-1)
 
     @property
     def normals(self):
         return self.qp_normals.reshape(-1, 3)
-
-    @property
-    def point_active(self):
-        """Active-mesh tet position per quadrature point."""
-        m = self.qp_points.shape[1]
-        return np.repeat(self.cell_active, m)
 
     def cell_chunks(self):
         """The cells in consecutive chunks of CHUNK_CELLS: pairs of the

@@ -12,13 +12,16 @@ signed distance in the space of the geometry order.
 
 Basis functions are tabulated at points given by their active tet and their
 barycentric coordinates in it, which the discrete surface already holds for
-its quadrature points and nodes; nothing here locates a physical point.  The
-gradients of the barycentric coordinates are those of the active mesh, which
-computes them once for all spaces built on it.  Assembly needs the basis
-tables (`tabulate`); a function with given coefficients is evaluated from
-its local coefficients without them (`evaluate`, `evaluate_gradient`),
-which gather each tet's coefficients and barycentric gradients once for all
-its points.
+its quadrature points and nodes; nothing here locates a physical point.
+`tabulate`, `evaluate` and `evaluate_gradient` take the tets and the points
+in one convention: the tets' shape broadcasts against the points' leading
+shape, so (t, 1) tets at (m, 4) or (t, m, 4) points gather each tet's data
+once for all its points.
+This module is the only place where the basis meets the gradients of the
+barycentric coordinates, those of the active mesh, which computes them once
+for all spaces built on it.  Assembly needs the basis tables (`tabulate`); a
+function with given coefficients is evaluated from its local coefficients
+without them (`evaluate`, `evaluate_gradient`).
 The basis of each order is chosen in `shapes` only: every function here
 passes the space's order to it.
 """
@@ -71,13 +74,13 @@ def build_space(active: ActiveMesh, order: int) -> FESpace:
 
 
 def tabulate(space: FESpace, cell_positions, lambdas):
-    """Basis values and physical gradients at points given in barycentric
-    coordinates of their active tets.
+    """Basis values and physical gradients at barycentric coordinates
+    (..., 4) of active tets, broadcast as in `evaluate`.
 
-    cell_positions: (n,) active-mesh tet positions; lambdas: (n, 4)
-    barycentric coordinates in those tets, such as `DiscreteSurface.lambdas`.
-    Returns values (n, nb) and gradients (n, nb, 3), the latter formed from
-    the barycentric gradients (`shapes.tet_gradients`).
+    Returns values (..., nb) over the points' leading shape, which is all
+    they depend on, and gradients (..., nb, 3) over the broadcast shape of
+    the tets and the points, formed from the tets' barycentric gradients
+    (`shapes.tet_gradients`).
     """
     cells = np.asarray(cell_positions, dtype=np.int64)
     lam = np.asarray(lambdas, dtype=float)

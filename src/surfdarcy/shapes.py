@@ -5,8 +5,11 @@ and the finite element spaces.
 The basis of each order and its nodes (`tet_nodes`, `tri_nodes`) are chosen
 here only: the spaces (and with them phi_h, a function of one), the surface
 cells, the stabilization and the VTK export pass their order to these
-functions.  Physical gradients enter only through `tet_gradients` and
-`tet_dlam`.
+functions.  Physical gradients enter only through `tet_gradients`, which
+only `fe_space` calls, with the active mesh's barycentric gradients.
+`tet_dlam` gives the barycentric derivatives of functions with given local
+coefficients: `fe_space` contracts them with those gradients, and the
+quadratic lift's line search with a barycentric direction.
 """
 
 from __future__ import annotations

@@ -192,11 +192,11 @@ def solution_values(solution: Solution, spaces, ds: DiscreteSurface):
     """u_h (n, 3), p_h (n,) and grad p_h (n, 3) at the quadrature points of
     ds, each contracted from the local coefficients without a basis table."""
     vspace, pspace = spaces
-    at = (ds.point_active, ds.lambdas)
+    at = (ds.cell_active[:, None], ds.qp_lambdas)
     u_h = fe_space.evaluate(vspace, solution.u_coeffs, *at)
     p_h = fe_space.evaluate(pspace, solution.p_coeffs, *at)
     grad_p_h = fe_space.evaluate_gradient(pspace, solution.p_coeffs, *at)
-    return u_h, p_h, grad_p_h
+    return u_h.reshape(-1, 3), p_h.reshape(-1), grad_p_h.reshape(-1, 3)
 
 
 def compute_errors(

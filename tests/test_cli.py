@@ -19,7 +19,15 @@ from surfdarcy.verification import ManufacturedSolution, case_config, run_level
 
 # case 1's CSV at levels 0-1 on the default grid, with the torus at the
 # origin and at a sub-cell offset; a change that keeps the k_g = 1
-# discretization writes both byte for byte
+# discretization writes both byte for byte.  Case 6's, on the 8-cell grid at
+# the same offset, pins the quadratic geometry, the P2 pressure and the
+# normal-gradient stabilization
+PROBE_OFFSET = "--offset=0.031,-0.052,0.017"
+TINY_RUN_ARGS = {
+    "origin": ["--case", "1"],
+    "offset": ["--case", "1", PROBE_OFFSET],
+    "case6": ["--case", "6", "--ncells0", "8", PROBE_OFFSET],
+}
 TINY_RUN_CSV = {
     "origin": """\
 level,h,dofs_u,dofs_p,err_u_L2,err_p_H1,err_p_L2,eoc_u_L2,eoc_p_H1,eoc_p_L2
@@ -31,17 +39,22 @@ level,h,dofs_u,dofs_p,err_u_L2,err_p_H1,err_p_L2,eoc_u_L2,eoc_p_H1,eoc_p_L2
 0,0.23571429,2580,860,4.501222e-01,8.116601e-01,1.094144e-01,,,
 1,0.11785714,10110,3370,1.239423e-01,3.954580e-01,2.483204e-02,1.8606,1.0374,2.1395
 """,
+    "case6": """\
+level,h,dofs_u,dofs_p,err_u_L2,err_p_H1,err_p_L2,eoc_u_L2,eoc_p_H1,eoc_p_L2
+0,0.4125,825,1657,8.827151e-01,1.381447e+00,2.314120e-01,,,
+1,0.20625,3267,6435,2.822260e-01,7.864325e-01,6.294928e-02,1.6451,0.8128,1.8782
+""",
 }
 
 
 def test_converge_tiny_run(tmp_path, capsys):
-    for where, extra in [("origin", []), ("offset", ["--offset=0.031,-0.052,0.017"])]:
+    for where, args in TINY_RUN_ARGS.items():
         csv_path = tmp_path / f"report_{where}.csv"
         md_path = tmp_path / f"report_{where}.md"
         code = main(
             [
-                "converge", "--case", "1", "--levels", "1",
-                "--csv", str(csv_path), "--markdown", str(md_path), *extra,
+                "converge", *args, "--levels", "1",
+                "--csv", str(csv_path), "--markdown", str(md_path),
             ]
         )
         assert code == 0

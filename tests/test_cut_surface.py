@@ -321,8 +321,8 @@ class TestTorusSurface:
 
     def test_quad_points_in_parent_tet(self, torus, active_l1):
         ds = build_surface(active_l1, torus, k_g=1)
-        verts = active_l1.tet_vertices[ds.point_active]
-        lam = barycentric_coords(verts, ds.points)
+        verts = active_l1.tet_vertices[ds.cell_active][:, None]
+        lam = barycentric_coords(verts, ds.qp_points)
         tol = 1e-10 * active_l1.h
         assert lam.min() > -tol and lam.max() < 1 + tol
 
@@ -378,8 +378,8 @@ class TestTorusSurface:
         for level in (1, 2):
             active = _active(torus, level)
             ds = build_surface(active, torus, k_g=2)
-            verts = active.tet_vertices[ds.point_active]
-            lam = barycentric_coords(verts, ds.points)
+            verts = active.tet_vertices[ds.cell_active][:, None]
+            lam = barycentric_coords(verts, ds.qp_points)
             mins.append(lam.min())
             hs.append(active.h)
         assert mins[0] > -2.0 * hs[0]
@@ -438,9 +438,9 @@ class TestRequadrature:
     def test_barycentrics_map_to_points(self, k_g, torus, active_l1):
         ds = build_surface(active_l1, torus, k_g=k_g)
         for surf in (ds, with_quadrature(ds, 6)):
-            verts = active_l1.tet_vertices[surf.point_active]
-            mapped = np.einsum("nl,nlx->nx", surf.lambdas, verts)
-            npt.assert_allclose(mapped, surf.points, rtol=0, atol=1e-13)
+            verts = active_l1.tet_vertices[surf.cell_active]
+            mapped = np.einsum("nml,nlx->nmx", surf.qp_lambdas, verts)
+            npt.assert_allclose(mapped, surf.qp_points, rtol=0, atol=1e-13)
 
 
 def test_determinism(torus, active_l1):

@@ -135,19 +135,31 @@ class TestCoefficientsFirst:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("components", [(), (3,)], ids=["scalar", "vector"])
     def test_broadcast_matches_flat(self, active, order, components):
-        # (t, 1) tets at (m, 4) points, each tet's coefficients gathered
-        # once: bit for bit the flat call on every (tet, point) pair
+        # (t, 1) tets at (m, 4) points, or at (t, m, 4) points of each tet's
+        # own, each tet's data gathered once: bit for bit the flat call on
+        # every (tet, point) pair, for the evaluators and the basis tables
         rng = np.random.default_rng(8)
         space = build_space(active, order)
         tets = rng.integers(0, len(active), size=50)
         lam = rng.dirichlet(np.ones(4), size=7)
         coeffs = rng.standard_normal(components + (space.global_dofs,))
-        flat = (np.repeat(tets, 7), np.tile(lam, (50, 1)))
-        for evaluator in (fe_space.evaluate, fe_space.evaluate_gradient):
-            expected = evaluator(space, coeffs, *flat)
-            got = evaluator(space, coeffs, tets[:, None], lam)
-            assert got.shape == (50, 7) + expected.shape[1:]
-            npt.assert_array_equal(got.reshape(expected.shape), expected)
+        own = rng.dirichlet(np.ones(4), size=(50, 7))
+        for points in (lam, own):
+            flat = (np.repeat(tets, 7), np.broadcast_to(points, (50, 7, 4)).reshape(-1, 4))
+            for evaluator in (fe_space.evaluate, fe_space.evaluate_gradient):
+                expected = evaluator(space, coeffs, *flat)
+                got = evaluator(space, coeffs, tets[:, None], points)
+                assert got.shape == (50, 7) + expected.shape[1:]
+                npt.assert_array_equal(got.reshape(expected.shape), expected)
+            values, grads = tabulate(space, *flat)
+            got_values, got_grads = tabulate(space, tets[:, None], points)
+            nb = values.shape[1]
+            assert got_grads.shape == (50, 7, nb, 3)
+            npt.assert_array_equal(got_grads.reshape(grads.shape), grads)
+            # the values depend on the points only, and keep their shape
+            assert got_values.shape == points.shape[:-1] + (nb,)
+            got_values = np.broadcast_to(got_values, (50, 7, nb))
+            npt.assert_array_equal(got_values.reshape(values.shape), values)
 
 
 class TestContinuity:
@@ -227,9 +239,9 @@ class TestInterpolate:
             space = build_space(act, 1)
             coeffs = interpolate(space, lambda p: torus.extend_vector(exact.pressure, p))
             ds = with_quadrature(build_surface(act, torus, 1), 6)
-            vals = fe_space.evaluate(space, coeffs, ds.point_active, ds.lambdas)
+            vals = fe_space.evaluate(space, coeffs, ds.cell_active[:, None], ds.qp_lambdas)
             p_e = torus.extend_vector(exact.pressure, ds.points)
-            err = np.sqrt(ds.weights @ (vals - p_e) ** 2)
+            err = np.sqrt(ds.weights @ (vals.reshape(-1) - p_e) ** 2)
             errors.append(err)
             hs.append(mesh.h)
         order = np.polyfit(np.log(hs), np.log(errors), 1)[0]

@@ -63,8 +63,8 @@ class TestSolve:
         sol = solve(system)
         assert sol.residual_norm <= 1e-9 * np.linalg.norm(system.rhs)
         # constraint satisfied: discrete pressure has zero surface mean
-        vals = evaluate(pspace, sol.p_coeffs, ds.point_active, ds.lambdas)
-        assert abs(surface_mean(ds, vals)) < 1e-9
+        vals = evaluate(pspace, sol.p_coeffs, ds.cell_active[:, None], ds.qp_lambdas)
+        assert abs(surface_mean(ds, vals.reshape(-1))) < 1e-9
 
     def test_singular_raises(self, level1_system):
         # a zero velocity row makes the A_u block of the preconditioner singular

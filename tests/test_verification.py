@@ -9,7 +9,7 @@ from surfdarcy.assembly import Stabilization
 from surfdarcy.cut_surface import CHUNK_CELLS, build_surface, with_quadrature
 from surfdarcy.geometry import ImplicitSurface, Torus, fd_gradient
 from surfdarcy.mesh import DEFAULT_BOX, build_background, extract_active, refine_uniform
-from surfdarcy.quadrature import triangle_rule
+from surfdarcy.quadrature import tet_rule, triangle_rule
 from surfdarcy.solver import Solution
 from surfdarcy.verification import (
     CASE_TABLE,
@@ -172,9 +172,10 @@ def test_run_level_logs_iterations_and_residual(exact, caplog):
 
 class TestTabulationsPerLevel:
     """`run_level` tabulates each space once at each of the surface's
-    quadrature points for assembly: one space in case 1, two in case 6.  The
-    values at the error-quadrature points are contracted from the
-    coefficients without a basis table."""
+    quadrature points for assembly, one space in case 1 and two in case 6,
+    and once at each point of its tet rule on every active tet for the
+    stabilization.  The values at the error-quadrature points are contracted
+    from the coefficients without a basis table."""
 
     @pytest.mark.parametrize("case, spaces", [(1, 1), (6, 2)])
     def test_run_level_tabulation_count(self, case, spaces, exact, monkeypatch):
@@ -182,14 +183,23 @@ class TestTabulationsPerLevel:
         tabulate = fe_space.tabulate
 
         def counting(space, cells, lambdas):
-            counted.append(len(lambdas))
+            # the points of a call: its tets broadcast against its points
+            shape = np.broadcast_shapes(np.shape(cells), np.shape(lambdas)[:-1])
+            counted.append(int(np.prod(shape)))
             return tabulate(space, cells, lambdas)
 
         monkeypatch.setattr(fe_space, "tabulate", counting)
         out = run_level(case_config(case), build_background(), exact)
-        assert sum(counted) == spaces * len(out["ds"].points)
         vspace, pspace = out["spaces"]
         assert (vspace is pspace) == (case == 1)
+        # the stabilization tabulates each distinct space at its tet rule of
+        # degree max(2 (k - 1), 1) on every active tet: case 1's P1 space at
+        # 1 point, case 6's P1 velocity at 1 and its P2 pressure at 4
+        distinct = [vspace] if vspace is pspace else [vspace, pspace]
+        rule_points = [len(tet_rule(max(2 * (s.order - 1), 1))[1]) for s in distinct]
+        assert rule_points == {1: [1], 6: [1, 4]}[case]
+        stabilization = len(out["active"]) * sum(rule_points)
+        assert sum(counted) == spaces * len(out["ds"].points) + stabilization
 
 
 def test_solution_values_allocates_no_basis_table():
@@ -289,8 +299,8 @@ class TestTangency:
             ds = with_quadrature(build_surface(active, torus, 1), 6)
             vspace = fe_space.build_space(active, 1)
             u_coeffs = interpolate(vspace, lambda p: torus.extend_vector(exact.velocity, p)).T
-            u_h = fe_space.evaluate(vspace, u_coeffs, ds.point_active, ds.lambdas)
-            defects.append(tangency_defect(u_h, ds))
+            u_h = fe_space.evaluate(vspace, u_coeffs, ds.cell_active[:, None], ds.qp_lambdas)
+            defects.append(tangency_defect(u_h.reshape(-1, 3), ds))
         assert defects[1] < defects[0]
 
 
