@@ -7,10 +7,10 @@
 with full 3-component gradients of the bulk basis functions evaluated at the
 discrete-surface quadrature points (the tangential condition is enforced only
 weakly), and appends the zero-mean pressure constraint as a single symmetric
-Lagrange multiplier row/column.  It returns the system as the grid of
-blocks of its bordered matrix (`AssembledSystem`).  `stabilize(system,
-spaces, ds, kind, tau, alpha)` adds the volume stabilization over all active
-tets per scalar field to the diagonal blocks: tau * h^(alpha-1) times either
+Lagrange multiplier row/column.  It returns the system by its distinct
+blocks A_u, G, A_p and c (`AssembledSystem`).  `stabilize(system, spaces,
+ds, kind, tau, alpha)` adds the volume stabilization over all active tets
+per scalar field to A_u and A_p: tau * h^(alpha-1) times either
 the full-gradient or the normal-gradient penalty, with the bulk normal taken
 from the gradient of the discrete level set phi_h whose zero set is the
 discrete surface.
@@ -33,7 +33,7 @@ once, with int32 indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -48,7 +48,6 @@ from .quadrature import tet_rule
 
 __all__ = [
     "Stabilization",
-    "SystemLayout",
     "AssembledSystem",
     "assemble",
     "stabilize",
@@ -71,45 +70,61 @@ class Stabilization(Enum):
 
 
 @dataclass(frozen=True)
-class SystemLayout:
-    n_u: int  # scalar velocity-component DOFs
-    n_p: int
+class AssembledSystem:
+    """The bordered system by its distinct blocks, every one CSR:
+
+        [[A_u (x) I_3, G,   0  ],
+         [-G^T,        A_p, c^T],
+         [0,           c,   0  ]]
+
+    with unknowns u_x, u_y, u_z, p and the multiplier.  `a_u` serves the three
+    velocity components, `g` is (G_x, G_y, G_z), each (n_u, n_p), and `c` is
+    the zero-mean constraint as a (1, n_p) row.  `matvec` applies the blocks;
+    `matrix` stacks them, on first use."""
+
+    a_u: sp.csr_matrix
+    g: tuple
+    a_p: sp.csr_matrix
+    c: sp.csr_matrix
+    rhs: np.ndarray
+
+    @property
+    def n_u(self):
+        return self.a_u.shape[0]
+
+    @property
+    def n_p(self):
+        return self.a_p.shape[0]
 
     @property
     def total(self):
         return 3 * self.n_u + self.n_p + 1
 
-    def u_slice(self, component: int):
-        return slice(component * self.n_u, (component + 1) * self.n_u)
-
     @property
     def p_slice(self):
-        return slice(3 * self.n_u, 3 * self.n_u + self.n_p)
-
-    @property
-    def multiplier_index(self):
-        return self.total - 1
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """The bordered system as the grid of blocks of its matrix, in the form
-    `sp.bmat` takes: rows and columns u_x, u_y, u_z, p and the multiplier,
-    every block CSR.  `matvec` applies the matrix block by block; `matrix`
-    stacks the grid, on first use."""
-
-    blocks: list
-    rhs: np.ndarray
-    layout: SystemLayout
+        return slice(3 * self.n_u, self.total - 1)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return sp.bmat(self.blocks, format="csr")
+        n_u = self.n_u
+        # empty blocks are stored CSR too: on an all-CSR grid `sp.bmat` stacks
+        # the rows directly, without a COO copy of the whole matrix
+        zero_u = sp.csr_matrix((n_u, n_u))
+        velocity = [
+            [self.a_u if c == d else zero_u for d in range(3)] + [g_c, sp.csr_matrix((n_u, 1))]
+            for c, g_c in enumerate(self.g)
+        ]
+        pressure = [(-g_c.T).tocsr() for g_c in self.g] + [self.a_p, self.c.T.tocsr()]
+        multiplier = [sp.csr_matrix((1, n_u))] * 3 + [self.c, sp.csr_matrix((1, 1))]
+        return sp.bmat(velocity + [pressure, multiplier], format="csr")
 
     def matvec(self, x):
-        """The bordered matrix times x, one block at a time."""
-        parts = np.split(x, np.cumsum([row[0].shape[0] for row in self.blocks[:-1]]))
-        return np.concatenate([sum(b @ xb for b, xb in zip(row, parts)) for row in self.blocks])
+        """The bordered matrix times x, each row summed in the order of the
+        blocks of `matrix`."""
+        u, p = x[: 3 * self.n_u].reshape(3, -1), x[self.p_slice]
+        velocity = [self.a_u @ u_c + g_c @ p for g_c, u_c in zip(self.g, u)]
+        pressure = sum(-(g_c.T @ u_c) for g_c, u_c in zip(self.g, u)) + self.a_p @ p
+        return np.concatenate(velocity + [pressure + self.c.T @ x[-1:], self.c @ p])
 
 
 def _cell_dofs(space: FESpace, cells):
@@ -270,8 +285,8 @@ def assemble_stabilization(
 
 
 def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
-    """Assemble the block grid and right-hand side of the unstabilized
-    surface form; `stabilize` adds the volume stabilization.
+    """Assemble the blocks and right-hand side of the unstabilized surface
+    form; `stabilize` adds the volume stabilization.
 
     spaces: (velocity_space, pressure_space) on the active mesh of ds; data:
     (f, g) surface fields, extended off the surface through the closest-point
@@ -289,7 +304,6 @@ def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
     f, g = data
     n_u = vspace.global_dofs
     n_p = pspace.global_dofs
-    layout = SystemLayout(n_u=n_u, n_p=n_p)
 
     def kernel(chunk):
         w = chunk.qp_weights
@@ -322,33 +336,19 @@ def assemble(spaces, ds: DiscreteSurface, data) -> AssembledSystem:
     udofs = _cell_dofs(vspace, ds.cell_active)
     pdofs = _cell_dofs(pspace, ds.cell_active)
 
-    rhs = np.zeros(layout.total)
-    for c in range(3):
-        rhs[layout.u_slice(c)] = _scatter_vector(load_u[..., c], udofs, n_u)
-    rhs[layout.p_slice] = _scatter_vector(load_p, pdofs, n_p)
+    rhs = np.concatenate(
+        [_scatter_vector(load_u[..., c], udofs, n_u) for c in range(3)]
+        + [_scatter_vector(load_p, pdofs, n_p), [0.0]]
+    )
     constraint = _scatter_vector(constraint, pdofs, n_p)
 
-    half_mass_u = 0.5 * _scatter(mass, udofs, udofs, (n_u, n_u))
-    half_stiff_p = 0.5 * _scatter(stiff, pdofs, pdofs, (n_p, n_p))
+    a_u = 0.5 * _scatter(mass, udofs, udofs, (n_u, n_u))
+    a_p = 0.5 * _scatter(stiff, pdofs, pdofs, (n_p, n_p))
     del mass, stiff
-    half_grads = [
+    couplings = tuple(
         0.5 * _scatter(coupling[..., c], udofs, pdofs, (n_u, n_p)) for c in range(3)
-    ]
-    del coupling
-    col = sp.csr_matrix(constraint[:, None])
-    row = sp.csr_matrix(constraint[None, :])
-    # empty blocks are stored CSR too: on an all-CSR grid `sp.bmat` stacks
-    # the rows directly, without a COO copy of the whole matrix
-    zero_u = sp.csr_matrix((n_u, n_u))
-    velocity_rows = [
-        [half_mass_u if c == d else zero_u for d in range(3)]
-        + [half_grads[c], sp.csr_matrix((n_u, 1))]
-        for c in range(3)
-    ]
-    pressure_row = [(-g_c.T).tocsr() for g_c in half_grads] + [half_stiff_p, col]
-    multiplier_row = [sp.csr_matrix((1, n_u))] * 3 + [row, sp.csr_matrix((1, 1))]
-    blocks = velocity_rows + [pressure_row, multiplier_row]
-    return AssembledSystem(blocks=blocks, rhs=rhs, layout=layout)
+    )
+    return AssembledSystem(a_u, couplings, a_p, sp.csr_matrix(constraint[None, :]), rhs)
 
 
 def stabilize(
@@ -359,22 +359,16 @@ def stabilize(
     tau: float,
     alpha: float,
 ) -> AssembledSystem:
-    """The system with blockdiag(S_u, S_u, S_u, S_p, 0) added to the matrix
-    of the unstabilized one, S the stabilization of each space
-    (`assemble_stabilization` with the same kind, tau and alpha); the other
-    blocks are shared with it.
+    """The system with S_u added to A_u and S_p to A_p, S the stabilization
+    of each space (`assemble_stabilization` with the same kind, tau and
+    alpha); G, c and the right-hand side are shared with it.
 
-    `+` drops the diagonal-block entries that sum to zero; the other blocks
-    keep their stored zeros.  SuperLU's ordering reads this stored pattern.
+    `+` drops the entries of A_u and A_p that sum to zero; G keeps its stored
+    zeros.  SuperLU's ordering reads this stored pattern.
     """
     vspace, pspace = spaces
     stab_u = assemble_stabilization(vspace, ds, kind, tau, alpha)
     stab_p = stab_u if vspace is pspace else assemble_stabilization(
         pspace, ds, kind, tau, alpha
     )
-    blocks = [list(row) for row in system.blocks]
-    a_u = blocks[0][0] + stab_u
-    for c in range(3):
-        blocks[c][c] = a_u
-    blocks[3][3] = blocks[3][3] + stab_p
-    return AssembledSystem(blocks=blocks, rhs=system.rhs, layout=system.layout)
+    return replace(system, a_u=system.a_u + stab_u, a_p=system.a_p + stab_p)

@@ -31,17 +31,17 @@ the solver is used, not by the size of the system:
   `Solution.residual_norm` reports.  Its preconditioner is the elimination
   around the block upper triangle of A, P = [[A_u (x) I_3, G/2], [0, A_p]]
   (`_BlockTriangle`), which reads A_u, A_p and G/2 from the system's
-  blocks.  The diagonal
-  blocks of P are principal blocks of H, hence positive definite and
-  nonsingular; each takes one symmetric-mode SuperLU factor, and the one A_u
-  factor solves the three velocity components in a single three-column
-  solve.  Only A_p is copied, grounded.  GMRES converges in 16-19 iterations
-  whatever the mesh size and wherever the surface cuts the mesh: the
-  paper's independence of positioning, seen in the solver (Benzi, Golub &
-  Liesen, Acta Numerica 2005; Elman, Silvester & Wathen, Finite Elements and
-  Fast Iterative Solvers, 2014).  On case-6 level-1 systems (21-22 k
-  unknowns) the two factors hold 3.3 M L+U nonzeros, against 11.2 M for one
-  factor of A, and the solve takes 0.4-0.6 s in 16 iterations.
+  blocks.  The diagonal blocks of P are principal blocks of H, hence
+  positive definite and nonsingular; each takes one symmetric-mode SuperLU
+  factor, and the one A_u factor solves the three velocity components in a
+  single three-column solve.  Only A_p is copied, grounded.  GMRES converges
+  in 16-19 iterations whatever the mesh size and wherever the surface cuts
+  the mesh: the paper's independence of positioning, seen in the solver
+  (Benzi, Golub & Liesen, Acta Numerica 2005; Elman, Silvester & Wathen,
+  Finite Elements and Fast Iterative Solvers, 2014).  On case-6 level-1
+  systems (21-22 k unknowns) the two factors hold 3.3 M L+U nonzeros,
+  against 11.2 M for one factor of A, and the solve takes 0.4-0.6 s in 16
+  iterations.
 - A `Factorization` keeps one full symmetric-mode factor of A, for a caller
   that solves with one matrix many times; `solve(factorization)` reuses it.
   The condition estimate solves with the bordered matrix and its transpose
@@ -133,15 +133,15 @@ def _ground(block, ground):
 class _BlockTriangle:
     """Solve with the block upper triangle P = [[A_u (x) I_3, G/2], [0, A_p]]
     of the system's block grounded at pressure DOF `ground` (see the module
-    docstring), read from the system's blocks: only A_p is copied, grounded,
-    and G/2 is applied without the ground column."""
+    docstring), with the system's own `a_u`, `a_p` and `g`: only A_p is
+    copied, grounded, and G/2 is applied without the ground column."""
 
     def __init__(self, system: AssembledSystem, ground: int):
-        self.split = 3 * system.layout.n_u
+        self.split = 3 * system.n_u
         self.p_ground = ground - self.split
-        self.lu_u = _splu(system.blocks[0][0])
-        self.lu_p = _splu(_ground(system.blocks[3][3], self.p_ground))
-        self.coupling = [system.blocks[c][3] for c in range(3)]
+        self.lu_u = _splu(system.a_u)
+        self.lu_p = _splu(_ground(system.a_p, self.p_ground))
+        self.coupling = system.g
 
     def solve(self, r):
         p = self.lu_p.solve(r[self.split :])
@@ -168,17 +168,15 @@ class _BorderedOperator:
     """
 
     def __init__(self, system: AssembledSystem, inner):
-        lay = system.layout
-        self.n = n = lay.total - 1
-        self.p_slice = lay.p_slice
-        # the border lies in the pressure columns of the multiplier row
+        self.n = n = system.total - 1
+        self.p_slice = system.p_slice
+        # the border lies in the pressure columns
         self.c = np.zeros(n)
-        self.c[lay.p_slice] = system.blocks[4][3].toarray().ravel()
-        c_p = self.c[lay.p_slice]
+        self.c[self.p_slice] = c_p = system.c.toarray().ravel()
         self.c_total = float(c_p.sum())
         if self.c_total == 0.0:
             raise SingularSystemError("constraint row has zero surface measure")
-        self.ground = lay.p_slice.start + int(np.argmax(c_p))
+        self.ground = self.p_slice.start + int(np.argmax(c_p))
         self.inner = inner(system, self.ground)
 
     def solve(self, rhs_full, *trans):
@@ -247,12 +245,11 @@ def solve(system) -> Solution:
 def _solution(system: AssembledSystem, x, iterations=0) -> Solution:
     """Split the full solution vector; the residual is recomputed against the
     full bordered system."""
-    lay = system.layout
     residual = float(np.linalg.norm(system.matvec(x) - system.rhs))
     return Solution(
-        u_coeffs=np.stack([x[lay.u_slice(c)] for c in range(3)]),
-        p_coeffs=x[lay.p_slice],
-        multiplier=float(x[lay.multiplier_index]),
+        u_coeffs=x[: 3 * system.n_u].reshape(3, -1),
+        p_coeffs=x[system.p_slice],
+        multiplier=float(x[-1]),
         residual_norm=residual,
         iterations=iterations,
     )

@@ -248,7 +248,7 @@ def _solve_translation(mesh, tau, alpha, seed, delta) -> list:
             SystemRecord(
                 translation=offset,
                 kind=kind,
-                unknowns=system.layout.total,
+                unknowns=system.total,
                 factor_nnz=lu.nnz,
                 relative_residual=solution.residual_norm / np.linalg.norm(system.rhs),
                 condition=estimate_condition(lu, seed=seed),

@@ -295,7 +295,7 @@ def run_level(config: CaseConfig, mesh, exact: ManufacturedSolution):
     solution = solve(system)
     log.info(
         "%d unknowns: %d GMRES iterations, relative residual %.3e",
-        system.layout.total,
+        system.total,
         solution.iterations,
         solution.residual_norm / np.linalg.norm(system.rhs),
     )

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from surfdarcy.assembly import (
     AssemblyError,
     Stabilization,
-    SystemLayout,
     assemble,
     assemble_bulk_mass,
     assemble_stabilization,
@@ -128,13 +127,21 @@ def test_two_tets_match_oracle(orders, kind):
     npt.assert_allclose(system.rhs, rhs, atol=1e-12)
 
 
+def _u_slice(system, component):
+    """The unknowns of one velocity component."""
+    return slice(component * system.n_u, (component + 1) * system.n_u)
+
+
 class TestLayout:
     def test_dimensions(self):
-        lay = SystemLayout(n_u=7, n_p=5)
-        assert lay.total == 3 * 7 + 5 + 1
-        assert lay.u_slice(2) == slice(14, 21)
-        assert lay.p_slice == slice(21, 26)
-        assert lay.multiplier_index == 26
+        # P1 velocity and P2 pressure, so that n_u and n_p differ
+        active, _, ds = _two_tet_setup()
+        spaces = (build_space(active, 1), build_space(active, 2))
+        system = assemble(spaces, ds, _const_data())
+        n_u, n_p = (space.global_dofs for space in spaces)
+        assert (system.n_u, system.n_p) == (n_u, n_p) and n_u != n_p
+        assert system.total == 3 * n_u + n_p + 1 == len(system.rhs) == system.matrix.shape[0]
+        assert system.p_slice == slice(3 * n_u, 3 * n_u + n_p)
 
 
 @pytest.fixture(scope="module")
@@ -170,17 +177,16 @@ class TestAssembledStructure:
         assert np.all(np.diff(mat.tocsc().indptr) > 0)
 
     def test_skew_blocks_exact(self, assembled_level1):
-        system, vspace, pspace = assembled_level1
-        n_u = vspace.global_dofs
-        lay = system.layout
+        system, _, _ = assembled_level1
+        p_slice = system.p_slice
         mat = system.matrix
         for c in range(3):
-            up = mat[lay.u_slice(c), lay.p_slice]
-            down = mat[lay.p_slice, lay.u_slice(c)]
+            up = mat[_u_slice(system, c), p_slice]
+            down = mat[p_slice, _u_slice(system, c)]
             diff = (up + down.T).toarray()
             assert np.abs(diff).max() == 0.0
         # the multiplier row and column are one border vector, bit for bit
-        m = lay.multiplier_index
+        m = system.total - 1
         npt.assert_array_equal(mat[m, :].toarray().ravel(), mat[:, m].toarray().ravel())
 
     def test_stored_pattern(self, assembled_level1, torus_level1):
@@ -192,48 +198,46 @@ class TestAssembledStructure:
         vanish, changes the fill at unchanged values."""
         system, vspace, pspace = assembled_level1
         _, _, ds = torus_level1
-        lay = system.layout
+        p_slice = system.p_slice
         mat = system.matrix
         udofs = vspace.cell_dofs[ds.cell_active]
         pdofs = pspace.cell_dofs[ds.cell_active]
         pairs = np.broadcast_arrays(udofs[:, :, None], pdofs[:, None, :])
         cell_pairs = sp.csr_matrix(
             (np.ones(pairs[0].size), (pairs[0].ravel(), pairs[1].ravel())),
-            shape=(lay.n_u, lay.n_p),
+            shape=(system.n_u, system.n_p),
         )
         zeros = 0
         for c in range(3):
-            for block in (mat[lay.u_slice(c), lay.p_slice], mat[lay.p_slice, lay.u_slice(c)].T):
+            u_c = _u_slice(system, c)
+            for block in (mat[u_c, p_slice], mat[p_slice, u_c].T):
                 block = block.tocsr()
                 block.sort_indices()
                 npt.assert_array_equal(block.indptr, cell_pairs.indptr)
                 npt.assert_array_equal(block.indices, cell_pairs.indices)
                 zeros += int(np.sum(block.data == 0.0))
-            assert np.all(mat[lay.u_slice(c), lay.u_slice(c)].data != 0.0)
+            assert np.all(mat[u_c, u_c].data != 0.0)
         assert zeros > 0, "the coupling blocks hold stored zeros"
-        assert np.all(mat[lay.p_slice, lay.p_slice].data != 0.0)
+        assert np.all(mat[p_slice, p_slice].data != 0.0)
 
     def test_symmetric_part_positive_definite(self, assembled_level1, torus_level1):
         system, vspace, pspace = assembled_level1
         _, _, ds = torus_level1
-        lay = system.layout
         sym = 0.5 * (system.matrix + system.matrix.T)
         load = surface_load_vector(pspace, ds)
         area = ds.total_area
         rng = np.random.default_rng(11)
-        n = lay.total
         for _ in range(100):
-            x = rng.standard_normal(n)
-            x[lay.multiplier_index] = 0.0
-            p = x[lay.p_slice]
+            x = rng.standard_normal(system.total)
+            x[-1] = 0.0
+            p = x[system.p_slice]
             p -= (load @ p) / area  # orthogonalize against the constant
-            x[lay.p_slice] = p
             assert x @ (sym @ x) > 0.0
 
     def test_rhs_constant_pressure_zero_for_manufactured(self, assembled_level1):
         system, vspace, pspace = assembled_level1
-        e_const = np.zeros(system.layout.total)
-        e_const[system.layout.p_slice] = 1.0
+        e_const = np.zeros(system.total)
+        e_const[system.p_slice] = 1.0
         assert abs(system.rhs @ e_const) < 1e-10
 
     def test_mismatched_mesh_raises(self, torus_level1):
@@ -338,7 +342,7 @@ class TestHelpers:
         space = build_space(active, 1)
         exact = ManufacturedSolution()
         system = assemble((space, space), ds, (exact.f_field, exact.g_field))
-        full = 2.0 * system.blocks[3][3]
+        full = 2.0 * system.a_p
         tan = assemble_surface_stiffness(space, ds)
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -396,3 +400,32 @@ def test_assemble_evaluates_no_signed_distance(monkeypatch):
     surface_form = assemble(spaces, ds, (exact.f_field, exact.g_field))
     stabilize(surface_form, spaces, ds, config.stab, config.tau, config.alpha)
     assert points == []
+
+
+@pytest.fixture(scope="module", params=[1, 6], ids=["case1", "case6"])
+def surface_form_n8(request):
+    """The unstabilized system of a case at level 0 of an 8-cell grid, with
+    what `stabilize` needs."""
+    config = case_config(request.param, n_cells0=8)
+    mesh = build_background(DEFAULT_BOX, config.n_cells0)
+    exact = ManufacturedSolution()
+    active = extract_active(mesh, exact.surface.signed_distance(mesh.vertices))
+    ds = build_surface(active, exact.surface, config.k_g)
+    spaces = (build_space(active, config.k_u), build_space(active, config.k_p))
+    return assemble(spaces, ds, (exact.f_field, exact.g_field)), spaces, ds, config
+
+
+@pytest.mark.parametrize("kind", list(Stabilization))
+def test_matvec_matches_stacked_matrix(surface_form_n8, kind):
+    """`matvec` applies the blocks as `matrix` stacks them, and `stabilize`
+    changes A_u and A_p only: G, c and the right-hand side are the input's."""
+    surface_form, spaces, ds, config = surface_form_n8
+    system = stabilize(surface_form, spaces, ds, kind, config.tau, config.alpha)
+    assert system.g is surface_form.g
+    assert system.c is surface_form.c
+    assert system.rhs is surface_form.rhs
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(system.total)
+        stacked = system.matrix @ x
+        npt.assert_allclose(system.matvec(x), stacked, rtol=0, atol=1e-12 * np.abs(stacked).max())

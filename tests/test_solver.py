@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import surfdarcy.solver as solver_mod
-from surfdarcy.assembly import AssembledSystem, Stabilization, assemble, stabilize
+from surfdarcy.assembly import Stabilization, assemble, stabilize
 from surfdarcy.cut_surface import build_surface, surface_mean
 from surfdarcy.fe_space import build_space, evaluate
 from surfdarcy.geometry import Torus
@@ -36,13 +37,16 @@ def level0_system(request):
 
 
 def zero_first_row(system):
-    """The system with its first velocity row zeroed in every block."""
-    blocks = [list(row) for row in system.blocks]
-    for d, block in enumerate(blocks[0]):
+    """The system with row 0 of A_u and of G_x zeroed: the first row of the
+    matrix is then zero, and A_u, shared by the three velocity components,
+    is singular."""
+
+    def zeroed(block):
         block = block.tolil()
         block[0, :] = 0.0
-        blocks[0][d] = block.tocsr()
-    return AssembledSystem(blocks=blocks, rhs=system.rhs, layout=system.layout)
+        return block.tocsr()
+
+    return replace(system, a_u=zeroed(system.a_u), g=(zeroed(system.g[0]), *system.g[1:]))
 
 
 class TestSolve:
@@ -51,7 +55,7 @@ class TestSolve:
         rng = np.random.default_rng(0)
         x_star = rng.standard_normal(system.matrix.shape[0])
         b_star = system.matrix @ x_star
-        shadow = AssembledSystem(blocks=system.blocks, rhs=b_star, layout=system.layout)
+        shadow = replace(system, rhs=b_star)
         sol = solve(shadow)
         recovered = np.concatenate(
             [sol.u_coeffs.ravel(), sol.p_coeffs, [sol.multiplier]]
@@ -86,14 +90,14 @@ class TestSolve:
     def test_block_path_factors_the_two_diagonal_blocks(self, level0_system, splu_calls):
         system = level0_system
         solve(system)
-        n_u, n_p = system.layout.n_u, system.layout.n_p
+        n_u, n_p = system.n_u, system.n_p
         settings = TestSymmetricMode.SETTINGS
         assert splu_calls == [((n_u, n_u), settings), ((n_p, n_p), settings)]
 
     @pytest.mark.parametrize("case", [1, 6])
     def test_solve_reads_the_block_grid(self, case):
         """A solve neither stacks the bordered matrix nor copies the
-        couplings: the preconditioner multiplies by the system's own blocks."""
+        couplings: the preconditioner multiplies by the system's own G."""
         config = case_config(case, n_cells0=8)
         mesh = build_background(DEFAULT_BOX, config.n_cells0)
         system = run_level(config, mesh, ManufacturedSolution())["system"]
@@ -101,7 +105,7 @@ class TestSolve:
         assert "matrix" not in vars(system)
         inner = solver_mod._BorderedOperator(system, solver_mod._BlockTriangle).inner
         for c in range(3):
-            assert inner.coupling[c] is system.blocks[c][3]
+            assert inner.coupling[c] is system.g[c]
 
     def test_solves_end_within_one_restart_cycle(self, level0_system):
         # a solve that ends before GMRES's first restart does not depend on
@@ -155,7 +159,7 @@ class TestSymmetricMode:
     def test_grounded_block_is_factored_in_symmetric_mode(self, level1_system, splu_calls):
         system, _, _ = level1_system
         Factorization(system)
-        n = system.layout.total - 1
+        n = system.total - 1
         assert splu_calls == [((n, n), self.SETTINGS)]
 
     def test_matches_pivoting_factor(self, level0_system, monkeypatch):
@@ -185,7 +189,7 @@ class TestEstimateCondition:
         config = case_config(1, n_cells0=8)
         mesh = build_background(DEFAULT_BOX, config.n_cells0)
         system = run_level(config, mesh, ManufacturedSolution())["system"]
-        assert system.layout.total == 1133
+        assert system.total == 1133
         kappa = np.linalg.cond(system.matrix.toarray())
         estimate = estimate_condition(Factorization(system))
         assert 0.95 * kappa <= estimate <= kappa * (1 + 1e-9)

@@ -165,7 +165,7 @@ def test_run_level_logs_iterations_and_residual(exact, caplog):
     rel = solution.residual_norm / np.linalg.norm(system.rhs)
     assert solution.iterations > 0
     assert (
-        f"{system.layout.total} unknowns: {solution.iterations} GMRES iterations, "
+        f"{system.total} unknowns: {solution.iterations} GMRES iterations, "
         f"relative residual {rel:.3e}"
     ) in caplog.messages
 
