@@ -25,12 +25,7 @@ from .mesh import (
     refine_uniform,
 )
 from .solver import SingularSystemError
-from .suites import (
-    geometric_rate_suite,
-    lemma_ratio_suite,
-    manufactured_residual_suite,
-    positioning_suite,
-)
+from .suites import level_suites, manufactured_residual_suite, positioning_suite
 from .verification import (
     CASE_TABLE,
     ManufacturedSolution,
@@ -255,13 +250,8 @@ def _write_level(case, level, out, outdir: Path):
 def _cmd_check(args):
     suites = [
         manufactured_residual_suite(offset=args.offset, seed=args.seed),
-        geometric_rate_suite(offset=args.offset, levels=tuple(range(1, args.levels + 1))),
-        lemma_ratio_suite(
-            offset=args.offset,
-            levels=tuple(range(1, args.levels + 1)),
-            tau=args.tau,
-            alpha=args.alpha,
-            seed=args.seed,
+        *level_suites(
+            offset=args.offset, finest=args.levels, tau=args.tau, alpha=args.alpha, seed=args.seed
         ),
         positioning_suite(
             level=min(args.levels, 2),

@@ -4,7 +4,9 @@ solve with respect to how the surface cuts the background mesh.
 
 Each suite returns a SuiteResult with per-check messages; the CLI `check`
 command is a thin shell over these functions and the acceptance tests reuse
-them directly.
+them directly.  The rates and the lemma ratios are measured on the same
+refinement levels, so `level_suites` walks those levels once and returns
+both results.
 """
 
 from __future__ import annotations
@@ -43,19 +45,18 @@ __all__ = [
     "SuiteResult",
     "SystemRecord",
     "manufactured_residual_suite",
-    "geometric_rate_suite",
-    "lemma_ratio_suite",
+    "level_suites",
     "positioning_suite",
 ]
 
 _KINDS = (Stabilization.FULL_GRADIENT, Stabilization.NORMAL_GRADIENT)
-# the geometry orders whose rates geometric_rate_suite measures
+# the geometry orders whose rates level_suites measures
 GEOMETRY_ORDERS = (1, 2)
 # the largest growth of a stability-lemma ratio from the coarsest level to
-# the finest that lemma_ratio_suite passes
+# the finest that level_suites passes
 LEMMA_GROWTH = 1.5
 # the random P1 coefficient vectors per level and stabilization that
-# lemma_ratio_suite takes the largest ratios over
+# level_suites takes the largest ratios over
 LEMMA_SAMPLES = 30
 # the largest spread max/min of the positioning suite's condition estimates
 SPREAD_LIMIT = 100.0
@@ -115,48 +116,24 @@ def manufactured_residual_suite(offset=(0.0, 0.0, 0.0), seed: int = 0) -> SuiteR
     return result
 
 
-def _level_meshes(mesh, levels):
-    """The uniform refinements of `mesh` at each of the increasing `levels`,
-    made one after the other, so that only the current one is held."""
-    if list(levels) != sorted(levels):
-        raise ValueError(f"levels must increase, got {tuple(levels)}")
-    level = 0
-    for target in levels:
-        while level < target:
-            mesh = refine_uniform(mesh)
-            level += 1
-        yield mesh
-
-
-def geometric_rate_suite(offset=(0.0, 0.0, 0.0), levels=(1, 2, 3)) -> SuiteResult:
-    """Observed orders of the surface distance and normal errors, for each
-    geometry order in GEOMETRY_ORDERS."""
-    result = SuiteResult("geometric approximation rates")
-    surface = ManufacturedSolution(offset=offset).surface
-    hs = []
-    dist = {k_g: [] for k_g in GEOMETRY_ORDERS}
-    nerr = {k_g: [] for k_g in GEOMETRY_ORDERS}
-    for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
-        # one active mesh per level serves every geometry order
-        active = extract_active(mesh, surface.signed_distance(mesh.vertices))
-        hs.append(mesh.h)
-        for k_g in GEOMETRY_ORDERS:
-            ds = build_surface(active, surface, k_g=k_g)
-            dist[k_g].append(ds.max_distance())
-            nerr[k_g].append(ds.max_normal_error())
-
-    for k_g in GEOMETRY_ORDERS:
-        order_dist = np.polyfit(np.log(hs), np.log(dist[k_g]), 1)[0]
-        order_normal = np.polyfit(np.log(hs), np.log(nerr[k_g]), 1)[0]
-        result.check(
-            abs(order_dist - (k_g + 1)) <= 0.3,
-            f"k_g={k_g}: distance order {order_dist:.2f} within {k_g + 1} +- 0.3",
-        )
-        result.check(
-            abs(order_normal - k_g) <= 0.3,
-            f"k_g={k_g}: normal order {order_normal:.2f} within {k_g} +- 0.3",
-        )
-    return result
+def _lemma_level(ds, tau, alpha, rngs) -> dict:
+    """One level's largest lemma ratios on the first-order surface `ds`, as
+    {kind: (scaled-L2, Poincare)}: the forms that do not depend on the
+    stabilization are assembled once, then each kind's stabilization, whose
+    samples are drawn from that kind's stream in `rngs`."""
+    space = ds.phi_space
+    forms = (
+        ds.active.h,
+        assemble_bulk_mass(space, ds.active),
+        assemble_surface_mass(space, ds),
+        assemble_surface_stiffness(space, ds),
+        surface_load_vector(space, ds),
+        ds.total_area,
+    )
+    return {
+        kind: _lemma_ratios(forms, assemble_stabilization(space, ds, kind, tau, alpha), rngs[kind])
+        for kind in _KINDS
+    }
 
 
 def _lemma_ratios(forms, stab, rng):
@@ -181,50 +158,71 @@ def _lemma_ratios(forms, stab, rng):
     return scaled_l2, poincare
 
 
-def lemma_ratio_suite(
+def level_suites(
     offset=(0.0, 0.0, 0.0),
-    levels=(1, 2, 3),
+    finest: int = 3,
     tau: float = 0.1,
     alpha: float = 2.0,
     seed: int = 0,
-) -> SuiteResult:
-    """Scaled bulk-L2 control and surface Poincare ratios across levels; a
-    ratio passes if it grows by at most LEMMA_GROWTH from the first level to
-    the last."""
-    result = SuiteResult("stability-lemma ratios")
+) -> tuple:
+    """The geometric-rate and stability-lemma results, in that order, from
+    one walk over levels 1..finest of the default grid.  Each level gets one
+    active mesh and one surface per geometry order in GEOMETRY_ORDERS; the
+    first-order surface also carries the lemma forms and both
+    stabilizations.
+
+    Rates: the observed orders of the surface distance and normal errors,
+    fitted over the levels.  Lemma: the scaled bulk-L2 control and surface
+    Poincare ratios, each of which passes if it grows by at most
+    LEMMA_GROWTH from the first level to the last."""
+    if finest < 2:
+        # the rates are fitted over at least two levels
+        raise ValueError(f"finest must be >= 2, got {finest}")
+    rates = SuiteResult("geometric approximation rates")
+    lemma = SuiteResult("stability-lemma ratios")
     surface = ManufacturedSolution(offset=offset).surface
     # one random stream per stabilization, drawn level after level
     rngs = {kind: np.random.default_rng(seed) for kind in _KINDS}
-    ratios = {kind: [] for kind in _KINDS}  # (scaled-L2, Poincare) per level
-    for mesh in _level_meshes(build_background(DEFAULT_BOX, DEFAULT_N_CELLS), levels):
+    hs = []
+    dist = {k_g: [] for k_g in GEOMETRY_ORDERS}
+    nerr = {k_g: [] for k_g in GEOMETRY_ORDERS}
+    lemma_levels = []  # {kind: (scaled-L2, Poincare)} per level
+    mesh = build_background(DEFAULT_BOX, DEFAULT_N_CELLS)
+    for _ in range(finest):
+        mesh = refine_uniform(mesh)
         active = extract_active(mesh, surface.signed_distance(mesh.vertices))
-        ds = build_surface(active, surface, k_g=1)
-        space = ds.phi_space
-        forms = (
-            active.h,
-            assemble_bulk_mass(space, active),
-            assemble_surface_mass(space, ds),
-            assemble_surface_stiffness(space, ds),
-            surface_load_vector(space, ds),
-            ds.total_area,
-        )
-        for kind in _KINDS:
-            stab = assemble_stabilization(space, ds, kind, tau, alpha)
-            ratios[kind].append(_lemma_ratios(forms, stab, rngs[kind]))
+        hs.append(mesh.h)
+        for k_g in GEOMETRY_ORDERS:
+            ds = build_surface(active, surface, k_g=k_g)
+            dist[k_g].append(ds.max_distance())
+            nerr[k_g].append(ds.max_normal_error())
+            if k_g == 1:
+                lemma_levels.append(_lemma_level(ds, tau, alpha, rngs))
 
+    for k_g in GEOMETRY_ORDERS:
+        order_dist = np.polyfit(np.log(hs), np.log(dist[k_g]), 1)[0]
+        order_normal = np.polyfit(np.log(hs), np.log(nerr[k_g]), 1)[0]
+        rates.check(
+            abs(order_dist - (k_g + 1)) <= 0.3,
+            f"k_g={k_g}: distance order {order_dist:.2f} within {k_g + 1} +- 0.3",
+        )
+        rates.check(
+            abs(order_normal - k_g) <= 0.3,
+            f"k_g={k_g}: normal order {order_normal:.2f} within {k_g} +- 0.3",
+        )
     for kind in _KINDS:
-        (first, p_first), (last, p_last) = ratios[kind][0], ratios[kind][-1]
-        result.check(
+        (first, p_first), (last, p_last) = lemma_levels[0][kind], lemma_levels[-1][kind]
+        lemma.check(
             last <= LEMMA_GROWTH * first,
             f"{kind.value}: scaled-L2 ratio {first:.3g} -> {last:.3g} "
             f"(growth <= {LEMMA_GROWTH})",
         )
-        result.check(
+        lemma.check(
             p_last <= LEMMA_GROWTH * p_first,
             f"{kind.value}: Poincare ratio {p_first:.3g} -> {p_last:.3g} "
             f"(growth <= {LEMMA_GROWTH})",
         )
-    return result
+    return rates, lemma
 
 
 def _solve_translation(mesh, tau, alpha, seed, delta) -> list:

@@ -379,7 +379,7 @@ def report_to_markdown(report: ConvergenceReport) -> str:
         f"- stabilization: {cfg.stab.value}, tau = {cfg.tau}, alpha = {cfg.alpha}",
         f"- initial grid: {cfg.n_cells0} cells/dim on box {DEFAULT_BOX}",
         f"- surface offset: {tuple(cfg.offset)}",
-        f"- pressure H1 error uses the tangential discrete gradient",
+        "- pressure H1 error uses the tangential discrete gradient",
         "",
         "| k | h | ||e_u|| | EOC | ||e_p||_1 | EOC | ||e_p|| | EOC |",
         "|---|---|---------|-----|-----------|-----|---------|-----|",

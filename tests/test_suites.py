@@ -12,12 +12,7 @@ import surfdarcy.suites as suites_mod
 from surfdarcy.assembly import Stabilization
 from surfdarcy.mesh import DEFAULT_BOX, DEFAULT_N_CELLS, build_background
 from surfdarcy.solver import SingularSystemError
-from surfdarcy.suites import (
-    geometric_rate_suite,
-    lemma_ratio_suite,
-    manufactured_residual_suite,
-    positioning_suite,
-)
+from surfdarcy.suites import level_suites, manufactured_residual_suite, positioning_suite
 
 
 def test_manufactured_residual_suite_passes():
@@ -31,27 +26,63 @@ def test_manufactured_residual_suite_with_offset():
     assert result.passed, "\n".join(result.lines)
 
 
-@pytest.fixture
-def extract_calls(monkeypatch):
-    """The active-mesh extractions the suites make, one entry each."""
-    calls = []
-    extract_active = suites_mod.extract_active
+def test_level_suites_small():
+    rates, lemma = level_suites(finest=2, seed=0)
+    assert rates.passed, "\n".join(rates.lines)
+    assert lemma.passed, "\n".join(lemma.lines)
+
+
+def test_level_suites_walk_the_levels_once(monkeypatch):
+    """One active mesh per level, and one surface per geometry order on it:
+    the first-order surface serves both the rates and the lemma forms."""
+    extracted, orders = [], []
+    extract_active, build_surface = suites_mod.extract_active, suites_mod.build_surface
     monkeypatch.setattr(
-        suites_mod, "extract_active", lambda *a: calls.append(1) or extract_active(*a)
+        suites_mod, "extract_active", lambda *a: extracted.append(1) or extract_active(*a)
     )
-    return calls
+    monkeypatch.setattr(
+        suites_mod,
+        "build_surface",
+        lambda *a, k_g: orders.append(k_g) or build_surface(*a, k_g=k_g),
+    )
+    level_suites(finest=2, seed=0)
+    assert len(extracted) == 2
+    assert orders == [1, 2, 1, 2]
 
 
-def test_geometric_rate_suite_small(extract_calls):
-    result = geometric_rate_suite(levels=(1, 2))
-    assert result.passed, "\n".join(result.lines)
-    assert len(extract_calls) == 2, "one active mesh per level, for both geometry orders"
+# the report lines of level_suites(offset=PROBE, finest=2, seed=0)
+PROBE = (0.031, -0.052, 0.017)
+LEVEL_SUITES_LINES = (
+    [
+        "PASS: k_g=1: distance order 1.93 within 2 +- 0.3",
+        "PASS: k_g=1: normal order 0.93 within 1 +- 0.3",
+        "PASS: k_g=2: distance order 3.05 within 3 +- 0.3",
+        "PASS: k_g=2: normal order 2.15 within 2 +- 0.3",
+    ],
+    [
+        "PASS: full: scaled-L2 ratio 0.428 -> 0.425 (growth <= 1.5)",
+        "PASS: full: Poincare ratio 0.0383 -> 0.019 (growth <= 1.5)",
+        "PASS: normal: scaled-L2 ratio 0.762 -> 0.753 (growth <= 1.5)",
+        "PASS: normal: Poincare ratio 0.0383 -> 0.019 (growth <= 1.5)",
+    ],
+)
 
 
-def test_lemma_ratio_suite_small(extract_calls):
-    result = lemma_ratio_suite(levels=(1, 2), seed=0)
-    assert result.passed, "\n".join(result.lines)
-    assert len(extract_calls) == 2, "one active mesh per level, for both stabilizations"
+def test_level_suites_report_lines_are_pinned():
+    results = level_suites(offset=PROBE, finest=2, seed=0)
+    assert tuple(r.lines for r in results) == LEVEL_SUITES_LINES
+    assert [r.name for r in results] == [
+        "geometric approximation rates",
+        "stability-lemma ratios",
+    ]
+
+
+def test_level_suites_reject_finest_below_two_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(suites_mod, "build_background", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="finest"):
+        level_suites(finest=1)
+    assert not built
 
 
 def test_positioning_suite_small():
@@ -164,10 +195,3 @@ def test_positioning_suite_worker_failure_reaches_the_caller(cores, monkeypatch)
         positioning_suite(level=0, n_translations=3, seed=0)
     assert pools == [2]
     assert not multiprocessing.active_children()
-
-
-@pytest.mark.parametrize("suite", [geometric_rate_suite, lemma_ratio_suite])
-def test_level_suites_reject_levels_out_of_order(suite, extract_calls):
-    with pytest.raises(ValueError, match="levels must increase"):
-        suite(levels=(2, 1))
-    assert not extract_calls
