@@ -26,10 +26,33 @@ def test_manufactured_residual_suite_with_offset():
     assert result.passed, "\n".join(result.lines)
 
 
+@pytest.fixture
+def extract_calls(monkeypatch):
+    """The active-mesh extractions level_suites makes, one entry each."""
+    calls = []
+    extract_active = suites_mod.extract_active
+    monkeypatch.setattr(
+        suites_mod, "extract_active", lambda *a: calls.append(1) or extract_active(*a)
+    )
+    return calls
+
+
 def test_level_suites_small():
     rates, lemma = level_suites(finest=2, seed=0)
     assert rates.passed, "\n".join(rates.lines)
     assert lemma.passed, "\n".join(lemma.lines)
+
+
+def test_geometric_rate_suite_small(extract_calls):
+    rates, _ = level_suites(finest=2)
+    assert rates.passed, "\n".join(rates.lines)
+    assert len(extract_calls) == 2, "one active mesh per level, for both geometry orders"
+
+
+def test_lemma_ratio_suite_small(extract_calls):
+    _, lemma = level_suites(finest=2, seed=0)
+    assert lemma.passed, "\n".join(lemma.lines)
+    assert len(extract_calls) == 2, "one active mesh per level, for both stabilizations"
 
 
 def test_level_suites_walk_the_levels_once(monkeypatch):
@@ -75,6 +98,17 @@ def test_level_suites_report_lines_are_pinned():
         "geometric approximation rates",
         "stability-lemma ratios",
     ]
+
+
+@pytest.mark.parametrize("result", [0, 1], ids=["geometric_rate_suite", "lemma_ratio_suite"])
+def test_level_suites_reject_levels_out_of_order(result, extract_calls):
+    """The walk is levels 1..finest; the rates are fitted and the lemma
+    ratios compared over at least two increasing levels, so a walk with fewer
+    is rejected before any result is formed or any level is extracted."""
+    for finest in (1, 0, -1):
+        with pytest.raises(ValueError, match="finest must be >= 2"):
+            level_suites(finest=finest)[result]
+    assert not extract_calls
 
 
 def test_level_suites_reject_finest_below_two_before_any_work(monkeypatch):
