@@ -7,7 +7,10 @@ distance in the P_k_g space on the active mesh (`fe_space.interpolate`), and
 is evaluated like any function of that space.  The first-order surface is
 the zero set of its vertex values' linear interpolant, one or two planar
 triangles per cut tet, each oriented to point up the gradient of that linear
-interpolant.  The second-order surface lifts the 3 vertices and 3 edge
+interpolant.  It is cut by marching tetrahedra read from one table over the
+16 sign patterns of a tet's vertex values, which names the tet edges whose
+roots are the corners of the cut: 3 for a lone vertex of either sign, 4 for
+a quad, which is split along its shorter diagonal.  The second-order surface lifts the 3 vertices and 3 edge
 midpoints of every base triangle onto the zero set of the quadratic phi_h,
 along the quasi-normal grad(phi_h)/|grad(phi_h)| of the cell's tet
 (`level_set_normals`).
@@ -75,7 +78,9 @@ class DiscreteSurface:
     phi: np.ndarray  # (phi_space.global_dofs,) coefficients of phi_h
     cell_active: np.ndarray  # (nc,) position of the parent tet in the active mesh
     nodes: np.ndarray  # (nc, 3 or 6, 3)
-    node_lambdas: np.ndarray  # (nc, 3 or 6, 4) barycentric w.r.t. parent tet
+    # (nc, 3 or 6, 4) barycentric w.r.t. parent tet; those of the lifted
+    # k_g = 2 nodes may lie outside [0, 1], as a lift may leave the tet
+    node_lambdas: np.ndarray
     flips: np.ndarray  # (nc,) bool, the raw cell normal points down grad(phi_h)
     qp_points: np.ndarray  # (nc, m, 3)
     qp_lambdas: np.ndarray  # (nc, m, 4) barycentric w.r.t. parent tet
@@ -154,85 +159,61 @@ def chunks(n: int):
 # marching tetrahedra
 # ---------------------------------------------------------------------------
 
-_OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)])
+
+def _pattern_edges(pattern):
+    """The 4 tet edges, endpoints sorted, whose level-set roots are the
+    corners of the cut of a tet with vertex i positive where bit i of
+    `pattern` is set: the lone vertex's 3 edges, to the others in ascending
+    order, padded with the first; or, for negatives a < b and positives
+    c < d, the quad (a, c), (a, d), (b, d), (b, c)."""
+    pos = [i for i in range(4) if pattern >> i & 1]
+    neg = [i for i in range(4) if not pattern >> i & 1]
+    if len(pos) == 2:
+        (a, b), (c, d) = neg, pos
+        edges = [(a, c), (a, d), (b, d), (b, c)]
+    elif len(pos) in (1, 3):
+        lone = (pos if len(pos) == 1 else neg)[0]
+        edges = [(lone, j) for j in range(4) if j != lone]
+        edges.append(edges[0])
+    else:
+        edges = [(0, 1)] * 4  # uncut, never read
+    return [sorted(edge) for edge in edges]
 
 
-def _edge_root_lambda(phi, i_idx, j_idx):
-    """Barycentric coords of the level-set root on edges (i, j), endpoint-order
-    independent: endpoints are sorted before the interpolation formula."""
-    a = np.minimum(i_idx, j_idx)
-    b = np.maximum(i_idx, j_idx)
-    rows = np.arange(len(a))
-    phi_a = phi[rows, a]
-    phi_b = phi[rows, b]
-    t = phi_a / (phi_a - phi_b)
-    lam = np.zeros((len(a), 4))
-    lam[rows, a] = 1.0 - t
-    lam[rows, b] = t
-    return lam
+# the marching-tetrahedra table over the 16 sign patterns: the edges of the
+# cut's corners (16, 4, 2) and its number of triangles (16,)
+_CUT_EDGES = np.array([_pattern_edges(pattern) for pattern in range(16)])
+_CUT_CELLS = np.array([min(n, 4 - n) for n in map(int.bit_count, range(16))])
+# the two triangles of the quad 0123 split along its diagonal 02 or 13
+_QUAD_SPLITS = np.array([[(0, 1, 2), (0, 2, 3)], [(1, 2, 3), (1, 3, 0)]])
 
 
 def _march_batch(tet_verts, phi):
-    """Marching tetrahedra over a batch.
+    """Marching tetrahedra over a batch, read from the table of the 16 sign
+    patterns in one path.
 
     tet_verts: (n, 4, 3), phi: (n, 4) finite.  Returns (cell_tet, cell_lam)
     with cells ordered by (tet, local cell index); cell_lam has shape
-    (nc, 3, 4).  A vertex value of exactly 0 counts as positive.
+    (nc, 3, 4).  A vertex value of exactly 0 counts as positive.  Every cut
+    tet gets the roots of its pattern's 4 edges at once.  A quad is split
+    along its shorter diagonal, 02 on a tie; a triangle is the first 3
+    corners.
     """
-    pos = phi >= 0.0
-    npos = pos.sum(axis=1)
-    out_tet = []
-    out_lam = []
-    out_local = []
+    pattern = (phi >= 0.0) @ (1 << np.arange(4))
+    idx = np.flatnonzero(_CUT_CELLS[pattern])
+    edges = _CUT_EDGES[pattern[idx]]  # (k, 4, 2)
+    n_cells = _CUT_CELLS[pattern[idx]]
+    phi_ab = np.take_along_axis(phi[idx, None], edges, axis=2)
+    t = phi_ab[..., 0] / (phi_ab[..., 0] - phi_ab[..., 1])
+    corners = np.zeros((len(idx), 4, 4))
+    np.put_along_axis(corners, edges, np.stack([1.0 - t, t], axis=-1), axis=2)
 
-    lone_mask = (npos == 1) | (npos == 3)
-    if np.any(lone_mask):
-        idx = np.flatnonzero(lone_mask)
-        lone_is_pos = npos[idx] == 1
-        lone = np.where(lone_is_pos, pos[idx].argmax(axis=1), (~pos[idx]).argmax(axis=1))
-        others = _OTHERS[lone]  # (k, 3) ascending
-        phis = phi[idx]
-        lam = np.stack(
-            [_edge_root_lambda(phis, lone, others[:, m]) for m in range(3)], axis=1
-        )  # (k, 3, 4)
-        out_tet.append(idx)
-        out_lam.append(lam)
-        out_local.append(np.zeros(len(idx), dtype=np.int64))
-
-    quad_mask = npos == 2
-    if np.any(quad_mask):
-        idx = np.flatnonzero(quad_mask)
-        order = np.argsort(pos[idx], axis=1, kind="stable")  # negatives first
-        a, b, c, d = order[:, 0], order[:, 1], order[:, 2], order[:, 3]
-        phis = phi[idx]
-        q = np.stack(
-            [
-                _edge_root_lambda(phis, a, c),
-                _edge_root_lambda(phis, a, d),
-                _edge_root_lambda(phis, b, d),
-                _edge_root_lambda(phis, b, c),
-            ],
-            axis=1,
-        )  # (k, 4, 4) quad corners in cyclic order
-        verts = tet_verts[idx]
-        xq = q @ verts
-        d02 = np.linalg.norm(xq[:, 0] - xq[:, 2], axis=1)
-        d13 = np.linalg.norm(xq[:, 1] - xq[:, 3], axis=1)
-        first = d02 <= d13
-        tri1 = np.where(first[:, None, None], q[:, (0, 1, 2)], q[:, (1, 2, 3)])
-        tri2 = np.where(first[:, None, None], q[:, (0, 2, 3)], q[:, (1, 3, 0)])
-        for local, tri in enumerate((tri1, tri2)):
-            out_tet.append(idx)
-            out_lam.append(tri)
-            out_local.append(np.full(len(idx), local, dtype=np.int64))
-
-    if not out_tet:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 3, 4))
-    cell_tet = np.concatenate(out_tet)
-    cell_lam = np.concatenate(out_lam)
-    cell_local = np.concatenate(out_local)
-    order = np.lexsort((cell_local, cell_tet))
-    return cell_tet[order], cell_lam[order]
+    xq = corners @ tet_verts[idx]
+    diagonals = np.linalg.norm(xq[:, :2] - xq[:, 2:], axis=2)  # |x0 - x2|, |x1 - x3|
+    second = ~(diagonals[:, 0] <= diagonals[:, 1]) & (n_cells == 2)
+    rows = 4 * np.arange(len(idx))[:, None, None] + _QUAD_SPLITS[second.astype(int)]
+    keep = np.arange(2) < n_cells[:, None]  # (k, 2): a triangle keeps its first
+    return np.repeat(idx, n_cells), corners.reshape(-1, 4)[rows[keep]]
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,47 @@ def lift(x0, tet_verts, values, order, direction, h):
     return x0 + t * d
 
 
+def march_tet(verts, phi):
+    """Marching tetrahedra on one tet, written out case by case: the cut's
+    triangles in local order, each as the barycentric coordinates (3, 4) of
+    its corners.
+
+    A vertex value of exactly 0 counts as positive.  The root on the edge
+    (i, j), i < j, is at t = phi_i / (phi_i - phi_j), with lambda_i = 1 - t
+    and lambda_j = t.  A lone vertex of either sign gives one triangle, the
+    roots on its edges to the other vertices in ascending order.  Negatives
+    a < b and positives c < d give the quad of the roots on (a, c), (a, d),
+    (b, d), (b, c), split into (0, 1, 2), (0, 2, 3) when |x0 - x2| <=
+    |x1 - x3| and into (1, 2, 3), (1, 3, 0) otherwise.
+    """
+    verts = np.asarray(verts, dtype=float)
+    phi = [float(value) for value in phi]
+    positive = [i for i in range(4) if phi[i] >= 0.0]
+    negative = [i for i in range(4) if not phi[i] >= 0.0]
+
+    def root(i, j):
+        i, j = min(i, j), max(i, j)
+        t = phi[i] / (phi[i] - phi[j])
+        lam = np.zeros(4)
+        lam[i] = 1.0 - t
+        lam[j] = t
+        return lam
+
+    if len(positive) in (1, 3):
+        lone = positive[0] if len(positive) == 1 else negative[0]
+        return [np.array([root(lone, j) for j in range(4) if j != lone])]
+    if len(positive) != 2:
+        return []
+    (a, b), (c, d) = negative, positive
+    quad = [root(a, c), root(a, d), root(b, d), root(b, c)]
+    x = [sum(lam[i] * verts[i] for i in range(4)) for lam in quad]
+    if np.linalg.norm(x[0] - x[2]) <= np.linalg.norm(x[1] - x[3]):
+        splits = [(0, 1, 2), (0, 2, 3)]
+    else:
+        splits = [(1, 2, 3), (1, 3, 0)]
+    return [np.array([quad[m] for m in split]) for split in splits]
+
+
 def dof_coords(space):
     """Coordinates of a space's DOFs: each tet's nodes scattered through its
     `cell_dofs`."""

@@ -25,6 +25,7 @@ from oracle import (
     cell_quadrature,
     interpolant_gradient,
     lift,
+    march_tet,
     tet_nodes,
 )
 
@@ -128,6 +129,43 @@ class TestMarchingTet:
             n_cross = int((phi_shared >= 0).sum())
             if 0 < n_cross < 3:
                 assert len(on_face1) >= 2
+
+    @staticmethod
+    def _assert_matches_oracle(tet_verts, phi):
+        """`_march_batch` gives the cells of `march_tet`, tet by tet, bit for
+        bit: the same parent tets, corner barycentrics, and order of the
+        cells and of their corners."""
+        cell_tet, cell_lam = _march_batch(tet_verts, phi)
+        cells = [(tet, tri) for tet in range(len(phi)) for tri in march_tet(tet_verts[tet], phi[tet])]
+        npt.assert_array_equal(cell_tet, np.array([tet for tet, _ in cells], dtype=np.int64))
+        expected = np.array([tri for _, tri in cells]).reshape(-1, 3, 4)
+        assert cell_lam.shape == expected.shape
+        assert cell_lam.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_matches_oracle_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 401))
+        tet_verts = rng.standard_normal((n, 4, 3))
+        phi = rng.standard_normal((n, 4))
+        phi[rng.random((n, 4)) < 0.05] = 0.0
+        phi[rng.random((n, 4)) < 0.02] = -0.0
+        self._assert_matches_oracle(tet_verts, phi)
+
+    def test_batch_matches_oracle_on_diagonal_tie(self):
+        # the quad of the edge midpoints has diagonals of exactly equal
+        # length, and a tie splits along 02
+        quad = np.array([[0, 0.5, 0], [0, 0, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
+        assert np.linalg.norm(quad[0] - quad[2]) == np.linalg.norm(quad[1] - quad[3])
+        phi = [-1.0, -1.0, 1.0, 1.0]
+        npt.assert_array_equal(_march_one(REF_TET, phi), [quad[[0, 1, 2]], quad[[0, 2, 3]]])
+        self._assert_matches_oracle(REF_TET[None], np.array([phi]))
+
+    def test_batch_matches_oracle_on_torus_mesh(self):
+        probe = Torus(center=(0.031, -0.052, 0.017))
+        active = _active(probe, 1)
+        phi = probe.signed_distance(active.vertices)[active.tets]
+        self._assert_matches_oracle(active.tet_vertices, phi)
 
     def test_area_additivity_2v2(self):
         # quad split along either diagonal conserves total area

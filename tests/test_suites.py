@@ -122,6 +122,17 @@ def test_level_suites_reject_finest_below_two_before_any_work(monkeypatch):
 def test_positioning_suite_small():
     result = positioning_suite(level=1, n_translations=3, seed=0)
     assert result.passed, "\n".join(result.lines)
+    # the residuals' digits move with the BLAS thread count, the rest does not
+    assert result.lines[0].startswith("PASS: full: all 3 solves, max relative residual ")
+    assert result.lines[2].startswith("PASS: normal: all 3 solves, max relative residual ")
+    assert result.lines[1::2] == [
+        "PASS: full: condition spread 1.13 < 100.0",
+        "PASS: normal: condition spread 1.03 < 100.0",
+    ]
+    sizes = [(13537, 5692566), (13505, 5922356), (12993, 5477294)]
+    assert [(r.kind.value, r.unknowns, r.factor_nnz) for r in result.records] == [
+        (kind, *size) for size in sizes for kind in ("full", "normal")
+    ]
 
 
 def test_positioning_suite_factorizes_each_system_once(splu_calls):
