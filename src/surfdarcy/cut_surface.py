@@ -7,13 +7,13 @@ distance in the P_k_g space on the active mesh (`fe_space.interpolate`), and
 is evaluated like any function of that space.  The first-order surface is
 the zero set of its vertex values' linear interpolant, one or two planar
 triangles per cut tet, each oriented to point up the gradient of that linear
-interpolant.  It is cut by marching tetrahedra read from one table over the
-16 sign patterns of a tet's vertex values, which names the tet edges whose
-roots are the corners of the cut: 3 for a lone vertex of either sign, 4 for
-a quad, which is split along its shorter diagonal.  The second-order surface lifts the 3 vertices and 3 edge
-midpoints of every base triangle onto the zero set of the quadratic phi_h,
-along the quasi-normal grad(phi_h)/|grad(phi_h)| of the cell's tet
-(`level_set_normals`).
+interpolant.  It is cut by marching tetrahedra, from one table over the 16
+sign patterns of a tet's vertex values that names the edges whose roots are
+the cut's corners: 3 for a lone vertex of either sign, 4 for a quad split
+along its shorter diagonal.  The second-order surface lifts the 3 vertices
+and 3 edge midpoints of every base triangle onto the zero set of the
+quadratic phi_h, along the quasi-normal grad(phi_h)/|grad(phi_h)| of the
+cell's tet (`level_set_normals`).
 The lift is not constrained to the tet entity a node lies on: a curved node
 may leave its parent tet by O(h^2).  phi_h is continuous, but its gradient
 jumps across the faces of the tets, so the copies of a base vertex shared by

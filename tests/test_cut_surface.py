@@ -136,7 +136,9 @@ class TestMarchingTet:
         bit: the same parent tets, corner barycentrics, and order of the
         cells and of their corners."""
         cell_tet, cell_lam = _march_batch(tet_verts, phi)
-        cells = [(tet, tri) for tet in range(len(phi)) for tri in march_tet(tet_verts[tet], phi[tet])]
+        cells = [
+            (tet, tri) for tet, args in enumerate(zip(tet_verts, phi)) for tri in march_tet(*args)
+        ]
         npt.assert_array_equal(cell_tet, np.array([tet for tet, _ in cells], dtype=np.int64))
         expected = np.array([tri for _, tri in cells]).reshape(-1, 3, 4)
         assert cell_lam.shape == expected.shape
